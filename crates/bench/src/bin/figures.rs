@@ -351,7 +351,49 @@ fn breakdown() {
 
 fn cg() {
     println!("== Extension — distributed Conjugate Gradient (CPU-Free vs CPU-controlled) ==");
-    print_dace(&cg_comparison());
+    let rows = cg_comparison();
+    print_dace(&rows);
+    write_json("cg", dace_json(&rows));
+}
+
+fn faults_json(rows: &[FaultRow]) -> String {
+    let items: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"workload\":\"{}\",\"scenario\":\"{}\",\"total_ns\":{},\
+                 \"overhead_pct\":{:.3},\"rollbacks\":{},\"retries\":{},\"bit_identical\":{}}}",
+                json_escape(&r.workload),
+                json_escape(&r.scenario),
+                r.total.as_nanos(),
+                r.overhead_pct,
+                r.rollbacks,
+                r.retries,
+                r.bit_identical
+            )
+        })
+        .collect();
+    format!("[\n  {}\n]\n", items.join(",\n  "))
+}
+
+fn degraded_json(rows: &[chaos::DegradedRow]) -> String {
+    let items: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"workload\":\"{}\",\"topology\":\"{}\",\"plan\":\"{}\",\"total_ns\":{},\
+                 \"quorum\":{:?},\"retries\":{},\"result_bits\":\"{:#018x}\"}}",
+                r.workload.name(),
+                r.topology.name(),
+                r.plan,
+                r.total.as_nanos(),
+                r.quorum,
+                r.retries,
+                r.result_bits
+            )
+        })
+        .collect();
+    format!("[\n  {}\n]\n", items.join(",\n  "))
 }
 
 fn faults() {
@@ -360,7 +402,8 @@ fn faults() {
         "{:<8} {:<22} {:>14} {:>10} {:>9} {:>8} {:>13}",
         "workload", "scenario", "total", "overhead", "rollbacks", "retries", "bit-identical"
     );
-    for r in fault_recovery_overhead() {
+    let rows = fault_recovery_overhead();
+    for r in &rows {
         println!(
             "{:<8} {:<22} {:>14} {:>9.1}% {:>9} {:>8} {:>13}",
             r.workload,
@@ -374,6 +417,30 @@ fn faults() {
     }
     println!("(every recovered run reproduces the fault-free result bit for bit;");
     println!(" overhead is virtual time vs. the fault-free fault-tolerant run)");
+    write_json("faults", faults_json(&rows));
+}
+
+fn degraded() {
+    println!("== Robustness — degraded-mode runs: surviving quorum completes ==");
+    println!(
+        "{:<8} {:<20} {:<18} {:>14} {:<14} {:>8} {:>20}",
+        "workload", "topology", "plan", "total", "quorum", "retries", "result bits"
+    );
+    let rows = chaos::degraded_rows();
+    for r in &rows {
+        println!(
+            "{:<8} {:<20} {:<18} {:>14} {:<14} {:>8} {:>#20x}",
+            r.workload.name(),
+            r.topology.name(),
+            r.plan,
+            r.total.to_string(),
+            format!("{:?}", r.quorum),
+            r.retries,
+            r.result_bits
+        );
+    }
+    println!("(a crashed PE drops out and the quorum finishes; a killed link is rerouted)");
+    write_json("degraded", degraded_json(&rows));
 }
 
 fn check() {
@@ -983,6 +1050,10 @@ fn main() {
     }
     if want("faults") {
         faults();
+        println!();
+    }
+    if want("degraded") {
+        degraded();
         println!();
     }
     if want("breakdown") {
