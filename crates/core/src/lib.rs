@@ -18,15 +18,22 @@
 //! is provided by [`launch_cpu_free_dual`] with [`LocalRendezvous`].
 //! [`RunStats`] measures what the paper's figures report — per-iteration
 //! time, exposed communication, overlap ratio — from the simulation trace.
+//! [`Rollback`] is the checkpoint/restart driver every fault-tolerant
+//! persistent kernel runs under.
 
 #![warn(missing_docs)]
 
 mod alloc;
 mod launch;
+mod rollback;
 mod stats;
 mod watchdog;
 
 pub use alloc::TbAllocation;
 pub use launch::{launch_cpu_free, launch_cpu_free_dual, persistent_loop, LocalRendezvous};
+pub use rollback::{
+    FtCtx, Interrupted, Recoverable, Rollback, RollbackCounts, CHECKPOINT_EVERY, POLL,
+    WATCHDOG_INTERVAL,
+};
 pub use stats::RunStats;
 pub use watchdog::{spawn_watchdog, WatchdogSpec};

@@ -1,47 +1,30 @@
 //! Fault-tolerant CPU-Free Jacobi: the persistent kernel of
-//! `variants::cpufree` hardened with iteration-granular checkpoint/restart,
-//! retrying puts, interruptible waits, and a watchdog — all driven by a
-//! deterministic [`FaultPlan`].
-//!
-//! # Protocol
+//! `variants::cpufree` run under the [`cpufree_core::Rollback`]
+//! checkpoint/restart driver, with retrying puts and interruptible halo
+//! waits — all driven by a deterministic [`FaultPlan`].
 //!
 //! One block group per PE runs the whole sweep (boundary + inner in one
 //! pass — bitwise identical to the split-group variant, since every written
-//! point depends only on the read generation). Each iteration `t`:
+//! point depends only on the read generation). Each iteration's body:
 //!
-//! 1. **Recovery check** — if any PE announced a rollback (the `recover`
-//!    signal moved past the locally handled count), join the recovery.
-//! 2. **Checkpoint** — at every `checkpoint_every`-iteration boundary, all
-//!    PEs rendezvous (interruptibly, so a concurrent rollback can still
-//!    recruit them), drain in-flight deliveries (`quiet`), and snapshot
-//!    **both** ping-pong generations to host memory. Restoring both arrays
-//!    later reproduces the exact byte state at the top of iteration
-//!    `k0 + 1`, which makes bit-identical recovery an induction argument.
-//! 3. **Crash** — if the fault plan crashes this PE here, device state is
-//!    scrubbed (NaN), a reboot cost is charged, and the rollback is
-//!    announced to every PE.
-//! 4. **Halo waits** — deadline-sliced so a waiting PE polls for recovery
-//!    notices between slices; a lost signal can never hang the PE.
-//! 5. **Sweep** — compute time is stretched by any active straggler window.
-//! 6. **Halo puts** — [`ShmemCtx::putmem_signal_reliable`] retries dropped
+//! 1. **Halo waits** — deadline-sliced ([`FtCtx::wait`]) so a waiting PE
+//!    joins an announced rollback; a lost signal can never hang the PE.
+//! 2. **Sweep** — compute time is stretched by any active straggler window.
+//! 3. **Halo puts** — [`ShmemCtx::putmem_signal_reliable`] retries dropped
 //!    deliveries with exponential backoff.
-//! 7. **Heartbeat** — for the watchdog.
 //!
-//! **Recovery** (entered by every PE, crashed or not): `quiet` → barrier A
-//! (after which nothing is in flight machine-wide) → restore both
-//! generations + reset own halo-in signals to `k0` → barrier B → resume at
-//! iteration `k0 + 1`. Because restored state equals the original byte
-//! state and sweeps are deterministic, every re-sent message is
-//! byte-identical to the original run: recovered results match fault-free
-//! results bit for bit.
+//! A checkpoint snapshots **both** ping-pong generations: restoring both
+//! reproduces the exact byte state at the top of iteration `k0 + 1`, and
+//! restore resets the PE's own halo-in signals to `k0`. Because every
+//! re-sent message is then byte-identical to the original run, recovered
+//! results match fault-free results bit for bit.
 
 use crate::config::StencilConfig;
 use crate::domain::{compute_phase, Domain, Executed};
-use cpufree_core::{launch_cpu_free, spawn_watchdog, WatchdogSpec};
-use gpu_sim::{BlockGroup, ExecMode, FaultPlan, KernelCtx};
-use nvshmem_sim::{ShmemCtx, SymSignal};
-use sim_des::lock::Mutex;
-use sim_des::{ms, us, Barrier, Category, Cmp, SignalOp, SimDur, SimError};
+use cpufree_core::{launch_cpu_free, FtCtx, Interrupted, Recoverable, Rollback};
+use gpu_sim::{BlockGroup, FaultPlan, KernelCtx};
+use nvshmem_sim::ShmemCtx;
+use sim_des::{SignalOp, SimError};
 use std::sync::Arc;
 
 /// Configuration of a fault-tolerant run.
@@ -51,25 +34,12 @@ pub struct FtConfig {
     pub base: StencilConfig,
     /// The deterministic fault schedule (empty plan = fault-free).
     pub plan: FaultPlan,
-    /// Checkpoint every this many iterations (>= 1).
-    pub checkpoint_every: u64,
-    /// Deadline slice for interruptible waits (recovery-notice poll period).
-    pub poll: SimDur,
-    /// Watchdog stall-detection window.
-    pub watchdog_interval: SimDur,
 }
 
 impl FtConfig {
-    /// Defaults: checkpoint every 4 iterations, 50 µs poll slices, 10 ms
-    /// watchdog window.
+    /// Fault-tolerant run of `base` under `plan`.
     pub fn new(base: StencilConfig, plan: FaultPlan) -> FtConfig {
-        FtConfig {
-            base,
-            plan,
-            checkpoint_every: 4,
-            poll: us(50.0),
-            watchdog_interval: ms(10.0),
-        }
+        FtConfig { base, plan }
     }
 }
 
@@ -86,13 +56,6 @@ pub struct FtExecuted {
     pub checkpoints: u64,
 }
 
-#[derive(Default)]
-struct FtCounters {
-    rollback_rounds: u64, // summed over PEs
-    retries: u64,
-    checkpoints: u64, // max over PEs (identical on all, by lockstep)
-}
-
 /// Run the fault-tolerant CPU-Free stencil under `cfg.plan`.
 ///
 /// Returns `Err` only for unrecoverable outcomes — a watchdog-diagnosed
@@ -100,312 +63,153 @@ struct FtCounters {
 /// wait-for cycle. All faults covered by the plan classes are recovered
 /// transparently, with the overhead visible in `exec.total`.
 pub fn run_cpu_free_ft(cfg: &FtConfig) -> Result<FtExecuted, SimError> {
-    assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be >= 1");
     let dom = Arc::new(Domain::new(&cfg.base));
     dom.machine.set_fault_plan(cfg.plan.clone());
-    let n = cfg.base.n_gpus;
-
-    // FT control plane: rollback announcements, rendezvous barriers,
-    // heartbeats, completion flag.
-    let recover: SymSignal = dom.world.signal(0);
-    let cp_barrier: Barrier = dom.machine.barrier(n);
-    let rec_barrier_a: Barrier = dom.machine.barrier(n);
-    let rec_barrier_b: Barrier = dom.machine.barrier(n);
-    let done_barrier: Barrier = dom.machine.barrier(n);
-    let heartbeats: Vec<_> = (0..n).map(|_| dom.machine.flag(0)).collect();
-    let ft_done = dom.machine.flag(0);
-    let counters = Arc::new(Mutex::new(FtCounters::default()));
-
-    spawn_watchdog(
-        &dom.machine,
-        WatchdogSpec {
-            heartbeats: heartbeats
-                .iter()
-                .enumerate()
-                .map(|(pe, f)| (format!("pe{pe}"), *f))
-                .collect(),
-            done: ft_done,
-            target: n as u64,
-            interval: cfg.watchdog_interval,
-        },
-    );
+    let rollback = Rollback::new(&dom.world);
 
     let dom_l = Arc::clone(&dom);
-    let cfg_l = cfg.clone();
-    let counters_l = Arc::clone(&counters);
+    let rollback_l = rollback.clone();
     let end = launch_cpu_free(
         &dom.machine.clone(),
         "cpufree_ft",
         cfg.base.threads_per_block,
         move |pe| {
             let dom = Arc::clone(&dom_l);
-            let cfg = cfg_l.clone();
-            let recover = recover.clone();
-            let hb = heartbeats[pe];
-            let counters = Arc::clone(&counters_l);
+            let rollback = rollback_l.clone();
             vec![BlockGroup::new("ft", 1, move |k| {
-                let local = pe_body(
-                    k,
-                    &dom,
-                    &cfg,
+                let mut sh = ShmemCtx::new(&dom.world, k);
+                let iterations = dom.cfg.iterations;
+                let mut w = JacobiPe {
+                    dom: &dom,
                     pe,
-                    n,
-                    &recover,
-                    cp_barrier,
-                    rec_barrier_a,
-                    rec_barrier_b,
-                    done_barrier,
-                    hb,
-                );
-                let mut g = counters.lock();
-                g.rollback_rounds += local.rollbacks;
-                g.retries += local.retries;
-                g.checkpoints = g.checkpoints.max(local.checkpoints);
-                k.agent_mut().signal(ft_done, SignalOp::Add, 1);
+                    snap: None,
+                };
+                rollback.run_pe(k, &mut sh, pe, iterations, &mut w);
             })]
         },
     )?;
 
     let exec = Executed::collect(&dom, end);
-    let g = counters.lock();
+    let c = rollback.counts();
     Ok(FtExecuted {
         exec,
-        rollbacks: g.rollback_rounds / n as u64,
-        retries: g.retries,
-        checkpoints: g.checkpoints,
+        rollbacks: c.rollbacks,
+        retries: c.retries,
+        checkpoints: c.checkpoints,
     })
 }
 
-struct PeOutcome {
-    rollbacks: u64,
-    retries: u64,
-    checkpoints: u64,
+/// One PE's Jacobi state: its slab of both generations.
+struct JacobiPe<'a> {
+    dom: &'a Domain,
+    pe: usize,
+    snap: Option<(Vec<f64>, Vec<f64>)>,
 }
 
-/// Everything one PE does: the hardened persistent loop.
-#[allow(clippy::too_many_arguments)]
-fn pe_body(
-    k: &mut KernelCtx<'_>,
-    dom: &Domain,
-    cfg: &FtConfig,
-    pe: usize,
-    n: usize,
-    recover: &SymSignal,
-    cp_barrier: Barrier,
-    rec_barrier_a: Barrier,
-    rec_barrier_b: Barrier,
-    done_barrier: Barrier,
-    heartbeat: sim_des::Flag,
-) -> PeOutcome {
-    let world = dom.world.clone();
-    let mut sh = ShmemCtx::new(&world, k);
-    let faults = dom.machine.faults();
-    let le = dom.layer_elems();
-    let layers = dom.layers(pe);
-    let w = dom.workload(pe);
-    let iters = dom.cfg.iterations;
-    let cp = cfg.checkpoint_every;
-    let poll = cfg.poll;
-    let crash_at = faults.crash_iteration(pe);
+impl Recoverable for JacobiPe<'_> {
+    const LABEL: &'static str = "ft";
 
-    let mut t: u64 = 1;
-    let mut handled: u64 = 0; // rollback announcements consumed
-    let mut k0: u64 = 0; // iteration the last checkpoint captured
-    let mut last_cp: Option<u64> = None;
-    let mut snap: Option<(Vec<f64>, Vec<f64>)> = None;
-    let mut crashed = false;
-    let mut out = PeOutcome {
-        rollbacks: 0,
-        retries: 0,
-        checkpoints: 0,
-    };
-
-    // Restore from the checkpoint: quiet -> A -> restore + flag reset -> B.
-    // Closures can't borrow everything mutably, so this is a macro-shaped
-    // helper invoked from every interruptible point.
-    macro_rules! do_recovery {
-        () => {{
-            // Drain own in-flight deliveries; once every PE is past
-            // barrier A, nothing stale is in flight machine-wide.
-            sh.quiet(k);
-            k.agent_mut().barrier(rec_barrier_a);
-            // Restore BOTH generations: the exact byte state at the top of
-            // iteration k0 + 1 (including halos and global boundary rows).
-            if let Some((g0, g1)) = &snap {
-                dom.gen[0].local(pe).write_slice(0, g0);
-                dom.gen[1].local(pe).write_slice(0, g1);
-            }
-            let bytes = 2 * (dom.gen[0].local(pe).len() * 8) as u64;
-            let dur = k
-                .machine()
-                .transport()
-                .host_copy(k.device(), bytes, k.now());
-            k.busy(Category::Api, "ft.restore", dur);
-            // Reset own halo-in signals to k0: the snapshot already holds
-            // the neighbors' iteration-k0 halos, and any later (stale)
-            // value must not satisfy a post-rollback wait early.
-            k.agent_mut()
-                .signal(dom.sig_from_low.flag(pe), SignalOp::Set, k0);
-            k.agent_mut()
-                .signal(dom.sig_from_high.flag(pe), SignalOp::Set, k0);
-            k.agent_mut().barrier(rec_barrier_b);
-            handled += 1;
-            out.rollbacks += 1;
-            t = k0 + 1;
-        }};
+    fn checkpoint_bytes(&self) -> u64 {
+        2 * (self.dom.gen[0].local(self.pe).len() * 8) as u64
     }
 
-    'outer: loop {
-        'iter: while t <= iters {
-            // ① Join any announced rollback before doing new work.
-            if sh.signal_fetch(k, recover) > handled {
-                do_recovery!();
-                continue 'iter;
-            }
+    fn snapshot(&mut self) {
+        let (g0, g1) = (
+            self.dom.gen[0].local(self.pe),
+            self.dom.gen[1].local(self.pe),
+        );
+        self.snap = Some((g0.to_vec(), g1.to_vec()));
+    }
 
-            // ② Checkpoint at every cp-iteration boundary (incl. t = 1:
-            // the initial state, so a crash before the first boundary is
-            // recoverable). Interruptible rendezvous: engine barriers keep
-            // no round memory and timed-out arrivals are withdrawn, so
-            // mixing with a concurrent rollback is safe.
-            if (t - 1).is_multiple_of(cp) && last_cp != Some(t - 1) {
-                sh.quiet(k); // halos of iteration t-1 land before the barrier releases
-                loop {
-                    if sh.signal_fetch(k, recover) > handled {
-                        do_recovery!();
-                        continue 'iter;
-                    }
-                    let deadline = k.now() + poll;
-                    if k.agent_mut().barrier_until(cp_barrier, deadline).is_ok() {
-                        break;
-                    }
-                }
-                let bytes = 2 * (dom.gen[0].local(pe).len() * 8) as u64;
-                let dur = k
-                    .machine()
-                    .transport()
-                    .host_copy(k.device(), bytes, k.now());
-                k.busy(Category::Api, "ft.checkpoint", dur);
-                snap = Some((dom.gen[0].local(pe).to_vec(), dom.gen[1].local(pe).to_vec()));
-                k0 = t - 1;
-                last_cp = Some(k0);
-                out.checkpoints += 1;
-            }
+    fn restore(&mut self, k: &mut KernelCtx<'_>, k0: u64) {
+        let (dom, pe) = (self.dom, self.pe);
+        // Both generations: the exact byte state at the top of iteration
+        // k0 + 1 (including halos and global boundary rows).
+        if let Some((g0, g1)) = &self.snap {
+            dom.gen[0].local(pe).write_slice(0, g0);
+            dom.gen[1].local(pe).write_slice(0, g1);
+        }
+        // The snapshot already holds the neighbors' iteration-k0 halos;
+        // any later (stale) value must not satisfy a post-rollback wait.
+        k.agent_mut()
+            .signal(dom.sig_from_low.flag(pe), SignalOp::Set, k0);
+        k.agent_mut()
+            .signal(dom.sig_from_high.flag(pe), SignalOp::Set, k0);
+    }
 
-            // ③ Scheduled crash: scrub device state, reboot, announce the
-            // rollback to every PE, then join the recovery ourselves.
-            if !crashed && crash_at == Some(t) {
-                crashed = true;
-                if k.exec_mode() == ExecMode::Full {
-                    dom.gen[0].local(pe).fill(f64::NAN);
-                    dom.gen[1].local(pe).fill(f64::NAN);
-                }
-                k.busy(Category::Api, "ft.reboot", us(500.0));
-                for q in 0..n {
-                    sh.signal_op(k, recover, SignalOp::Add, 1, q);
-                }
-                do_recovery!();
-                continue 'iter;
-            }
+    fn scrub(&mut self) {
+        self.dom.gen[0].local(self.pe).fill(f64::NAN);
+        self.dom.gen[1].local(self.pe).fill(f64::NAN);
+    }
 
-            // ④ Halo waits, deadline-sliced so lost signals cannot hang us.
-            if pe > 0 {
-                loop {
-                    if sh.signal_fetch(k, recover) > handled {
-                        do_recovery!();
-                        continue 'iter;
-                    }
-                    let deadline = k.now() + poll;
-                    if sh
-                        .signal_wait_until_deadline(k, &dom.sig_from_low, Cmp::Ge, t - 1, deadline)
-                        .is_ok()
-                    {
-                        break;
-                    }
-                }
-            }
-            if pe + 1 < n {
-                loop {
-                    if sh.signal_fetch(k, recover) > handled {
-                        do_recovery!();
-                        continue 'iter;
-                    }
-                    let deadline = k.now() + poll;
-                    if sh
-                        .signal_wait_until_deadline(k, &dom.sig_from_high, Cmp::Ge, t - 1, deadline)
-                        .is_ok()
-                    {
-                        break;
-                    }
-                }
-            }
+    fn iterate(
+        &mut self,
+        k: &mut KernelCtx<'_>,
+        sh: &mut ShmemCtx,
+        ft: &mut FtCtx<'_>,
+        t: u64,
+    ) -> Result<(), Interrupted> {
+        let (dom, pe) = (self.dom, self.pe);
+        let n = dom.cfg.n_gpus;
+        // ① Halo waits, deadline-sliced so lost signals cannot hang us.
+        if pe > 0 {
+            ft.wait(sh, k, &dom.sig_from_low, t - 1)?;
+        }
+        if pe + 1 < n {
+            ft.wait(sh, k, &dom.sig_from_high, t - 1)?;
+        }
 
-            // ⑤ One full sweep (boundary + inner at once — same numerics as
-            // the split-group kernel), stretched by straggler windows.
-            let straggle = faults.compute_mult(pe, k.now());
-            let geo = Arc::clone(&dom.geo);
-            let read = dom.read_gen(t).local(pe).clone();
-            let write = dom.write_gen(t).local(pe).clone();
-            compute_phase(
+        // ② One full sweep (boundary + inner at once — same numerics as
+        // the split-group kernel), stretched by straggler windows.
+        let w = dom.workload(pe);
+        let straggle = dom.machine.faults().compute_mult(pe, k.now());
+        let geo = Arc::clone(&dom.geo);
+        let read = dom.read_gen(t).local(pe).clone();
+        let write = dom.write_gen(t).local(pe).clone();
+        let layers = dom.layers(pe);
+        compute_phase(
+            k,
+            &w,
+            w.total_points(),
+            1.0,
+            1.0,
+            straggle,
+            "ft.sweep",
+            || geo.sweep(&read, &write, (1, layers)),
+        );
+
+        // ③ Commit boundary layers to the neighbors' halos, reliably.
+        let wg = dom.write_gen(t);
+        let le = dom.layer_elems();
+        if pe > 0 {
+            ft.count_attempts(sh.putmem_signal_reliable(
                 k,
-                &w,
-                w.total_points(),
-                1.0,
-                1.0,
-                straggle,
-                "ft.sweep",
-                || geo.sweep(&read, &write, (1, layers)),
-            );
-
-            // ⑥ Commit boundary layers to the neighbors' halos, reliably.
-            let wg = dom.write_gen(t);
-            if pe > 0 {
-                out.retries += (sh.putmem_signal_reliable(
-                    k,
-                    wg,
-                    dom.high_halo_off(pe - 1),
-                    wg.local(pe),
-                    dom.first_layer_off(),
-                    le,
-                    &dom.sig_from_high,
-                    SignalOp::Set,
-                    t,
-                    pe - 1,
-                ) - 1) as u64;
-            }
-            if pe + 1 < n {
-                out.retries += (sh.putmem_signal_reliable(
-                    k,
-                    wg,
-                    dom.low_halo_off(),
-                    wg.local(pe),
-                    dom.last_layer_off(pe),
-                    le,
-                    &dom.sig_from_low,
-                    SignalOp::Set,
-                    t,
-                    pe + 1,
-                ) - 1) as u64;
-            }
-            k.grid_sync();
-
-            // ⑦ Progress heartbeat for the watchdog.
-            k.agent_mut().signal(heartbeat, SignalOp::Add, 1);
-            t += 1;
+                wg,
+                dom.high_halo_off(pe - 1),
+                wg.local(pe),
+                dom.first_layer_off(),
+                le,
+                &dom.sig_from_high,
+                SignalOp::Set,
+                t,
+                pe - 1,
+            ));
         }
-
-        // Final rendezvous — interruptible, so PEs that already finished
-        // can still be recruited into a late rollback and redo the tail.
-        loop {
-            if sh.signal_fetch(k, recover) > handled {
-                do_recovery!();
-                continue 'outer;
-            }
-            let deadline = k.now() + poll;
-            if k.agent_mut().barrier_until(done_barrier, deadline).is_ok() {
-                break 'outer;
-            }
+        if pe + 1 < n {
+            ft.count_attempts(sh.putmem_signal_reliable(
+                k,
+                wg,
+                dom.low_halo_off(),
+                wg.local(pe),
+                dom.last_layer_off(pe),
+                le,
+                &dom.sig_from_low,
+                SignalOp::Set,
+                t,
+                pe + 1,
+            ));
         }
+        k.grid_sync();
+        Ok(())
     }
-    out
 }
