@@ -7,7 +7,7 @@
 use crate::kernels::{axpy_xr, dot_local, matvec, update_p, vec_op};
 use crate::problem::{PoissonProblem, ReduceOrder};
 use cpufree_core::{launch_cpu_free, RunStats};
-use gpu_sim::{BlockGroup, Buf, CostModel, DevId, ExecMode, Machine};
+use gpu_sim::{BlockGroup, Buf, DevId, ExecMode, Machine};
 use nvshmem_sim::{allreduce_scalar, AllreduceWs, ReduceOp, ShmemCtx, ShmemWorld};
 use sim_des::lock::Mutex;
 use sim_des::{Category, Cmp, SignalOp, SimDur, SimTime};
@@ -112,13 +112,7 @@ pub(crate) fn halo_geom(prob: &PoissonProblem) -> HaloGeom {
 /// cooperative kernel per PE performs the halo exchange, the matvec and
 /// vector updates, and the device-side allreduces. The host launches once.
 pub fn run_cpu_free(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
-    let machine = Machine::with_topology(prob.n_pes, CostModel::a100_hgx(), prob.topology, exec);
-    if prob.check {
-        machine.enable_checker();
-    }
-    if let Some(seed) = prob.jitter {
-        machine.set_wake_jitter(seed);
-    }
+    let machine = prob.machine(exec);
     let world = ShmemWorld::init(&machine);
     let slab = prob.slab();
     let len = (slab.max_layers() + 2) * prob.nx;
@@ -247,13 +241,7 @@ pub fn run_cpu_free(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
 /// linear combine), host-driven halo exchange — the launch/sync-heavy
 /// structure persistent execution eliminates.
 pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
-    let machine = Machine::with_topology(prob.n_pes, CostModel::a100_hgx(), prob.topology, exec);
-    if prob.check {
-        machine.enable_checker();
-    }
-    if let Some(seed) = prob.jitter {
-        machine.set_wake_jitter(seed);
-    }
+    let machine = prob.machine(exec);
     let slab = prob.slab();
     let len = (slab.max_layers() + 2) * prob.nx;
     // p in plain device memory; halos exchanged with host memcpys.

@@ -4,7 +4,7 @@
 //! linear host-side and the recursive-doubling device-side allreduce can be
 //! verified bitwise).
 
-use gpu_sim::TopologyKind;
+use gpu_sim::{CostModel, ExecMode, Machine, TopologyKind};
 use nvshmem_sim::{reference_reduce, ReduceOp};
 use stencil_lab::Slab;
 
@@ -70,6 +70,21 @@ impl PoissonProblem {
     pub fn with_check(mut self) -> PoissonProblem {
         self.check = true;
         self
+    }
+
+    /// The machine every CG runner builds: the problem's topology on the
+    /// A100-HGX cost model, with the checker and wake-order jitter enabled
+    /// when the problem asks for them.
+    pub(crate) fn machine(&self, exec: ExecMode) -> Machine {
+        let machine =
+            Machine::with_topology(self.n_pes, CostModel::a100_hgx(), self.topology, exec);
+        if self.check {
+            machine.enable_checker();
+        }
+        if let Some(seed) = self.jitter {
+            machine.set_wake_jitter(seed);
+        }
+        machine
     }
 
     /// The slab decomposition of the interior rows.
