@@ -1,7 +1,9 @@
 //! The agent-side API: what simulated code is written against.
 
 use crate::engine::SimError;
-use crate::engine::{spawn_agent, AbortSim, BlockedInfo, Request, Shared, ShutdownUnwind, Turn};
+use crate::engine::{
+    dispatch, spawn_agent, AbortSim, BlockedInfo, Request, Shared, ShutdownUnwind, Turn,
+};
 use crate::intern::{Label, Sym};
 use crate::lock::Condvar;
 use crate::sync::{Barrier, Cmp, Flag, SignalOp};
@@ -27,9 +29,10 @@ pub struct WaitTimedOut {
 
 /// Handle through which an agent interacts with virtual time and its peers.
 ///
-/// Methods that *block* (`advance`, `wait_flag`, `barrier`, `yield_now`) hand
-/// the execution token back to the scheduler; everything else is immediate
-/// and charges no virtual time.
+/// Methods that *block* (`advance`, `wait_flag`, `barrier`, `yield_now`) run
+/// the scheduler on this agent's thread until the next resume, passing the
+/// execution token on if that resume is another agent's; everything else
+/// is immediate and charges no virtual time.
 ///
 /// Label-taking methods accept anything convertible to
 /// [`Label`](crate::Label): string literals and `format!` results work
@@ -69,12 +72,12 @@ impl AgentCtx {
         self.shared.central.lock().clock
     }
 
-    /// Hand the token to the scheduler and park until resumed.
+    /// Apply `req`, dispatch the queue on this thread until the next
+    /// resume, and park unless that resume is this agent's own.
     fn handoff(&mut self, req: Request) {
         let mut g = self.shared.central.lock();
-        g.request = Some((self.id, req));
-        g.turn = Turn::Scheduler;
-        self.shared.sched_cv.notify_one();
+        g.apply_request(self.id, req);
+        let mut g = dispatch(&self.shared, g, Some(self.id));
         loop {
             if g.shutdown {
                 drop(g);
@@ -330,9 +333,13 @@ impl AgentCtx {
     ///
     /// Used to materialize asynchronous effects at their completion time —
     /// e.g. a DMA engine writing transferred bytes into the destination
-    /// buffer. The closure runs on the scheduler thread and must not call
-    /// back into the engine; pair it with [`AgentCtx::schedule_signal`] (the
+    /// buffer. The closure runs on whichever thread holds the token when it
+    /// falls due (any agent's, or the one in [`Engine::run`]) and must not
+    /// call back into the engine; a panic in it unwinds out of `Engine::run`
+    /// with its own payload. Pair it with [`AgentCtx::schedule_signal`] (the
     /// call is executed before a signal scheduled afterwards at equal time).
+    ///
+    /// [`Engine::run`]: crate::Engine::run
     pub fn schedule_call(&self, delay: SimDur, f: impl FnOnce() + Send + 'static) {
         let mut g = self.shared.central.lock();
         let t = g.clock + delay;

@@ -5,9 +5,13 @@
 //! Agents are imperative routines (host threads, persistent-kernel thread
 //! blocks, stream workers, …) written as ordinary Rust closures against
 //! [`AgentCtx`](crate::agent::AgentCtx). Each agent runs on its own OS thread,
-//! but **exactly one thread is ever runnable at a time**: control ping-pongs
-//! between the scheduler (the thread that called [`Engine::run`]) and the
-//! single agent it has resumed. The result is a sequential, fully
+//! but **exactly one thread is ever runnable at a time**: the one holding
+//! the scheduling token. There is no scheduler thread in the loop. An agent
+//! that blocks applies its own request and runs the event queue itself
+//! (the dispatcher) until it reaches the next resume: its own resume costs
+//! no thread switch, any other hands the token straight to that agent's
+//! thread. The thread that called [`Engine::run`] only starts the first
+//! dispatch and waits for the outcome. The result is a sequential, fully
 //! deterministic simulation in which agent code can block (`advance`,
 //! `wait_flag`, `barrier`) with ordinary imperative control flow — no hand
 //! written state machines, no async.
@@ -33,14 +37,15 @@ use crate::agent::{AgentCtx, AgentId};
 use crate::fault::mix64;
 use crate::hb::{AsyncClock, HbTracker};
 use crate::intern::{Label, Sym, SymPool};
-use crate::lock::{Condvar, Mutex};
+use crate::lock::{Condvar, Mutex, MutexGuard};
 use crate::sync::{Barrier, Cmp, Flag, SignalOp};
 use crate::time::{SimDur, SimTime};
 use crate::trace::{Trace, TraceSpan};
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -158,21 +163,12 @@ pub enum RunStatus {
     },
 }
 
-/// How an agent's closure ended.
-pub(crate) enum FinishKind {
-    /// Returned normally.
-    Ok,
-    /// Panicked with the rendered message.
-    Panic(String),
-    /// Requested a structured simulation abort (see [`AgentCtx::abort`]).
-    Abort(SimError),
-}
-
 /// Panic payload used by [`AgentCtx::abort`] to carry a structured
 /// [`SimError`] out of an agent closure.
 pub(crate) struct AbortSim(pub(crate) SimError);
 
-/// What an agent asks of the scheduler when it hands control back.
+/// What a blocking agent asks for; applied on its own thread before it
+/// dispatches.
 pub(crate) enum Request {
     /// Charge virtual time, resume at `now + dur`.
     Advance(SimDur),
@@ -193,8 +189,6 @@ pub(crate) enum Request {
     },
     /// Resume after other same-time work.
     Yield,
-    /// Agent closure ended.
-    Finished(FinishKind),
 }
 
 /// A queue entry: something that happens at a virtual time.
@@ -209,8 +203,10 @@ enum Action {
         stamp: Option<AsyncClock>,
     },
     /// Run a side-effect closure (e.g. materialize DMA data at completion
-    /// time). Executed on the scheduler thread, outside the engine lock; the
-    /// closure must not call back into the engine.
+    /// time). Executed by the dispatcher on whichever thread holds the
+    /// token, outside the engine lock; the closure must not call back into
+    /// the engine. A panic in it is carried to the thread in
+    /// [`Engine::run`] and resumed there.
     Call(Box<dyn FnOnce() + Send>),
     /// A deadline for a bounded wait. Stale once the agent's wait epoch has
     /// moved on (the wait completed first); stale fires are skipped WITHOUT
@@ -265,9 +261,20 @@ impl Ord for HeapKey {
     }
 }
 
+/// Which thread holds the scheduling token.
 pub(crate) enum Turn {
+    /// The thread in [`Engine::drive`]: between runs, or with an outcome.
     Scheduler,
+    /// The agent's own thread.
     Agent(AgentId),
+}
+
+/// How a dispatch that hands the token back to [`Engine::drive`] ended.
+enum Outcome {
+    /// The run (or `run_until` window) is over, or an agent failed.
+    Status(Result<RunStatus, SimError>),
+    /// A `Call` closure panicked; the payload is resumed by the drive thread.
+    CallPanic(Box<dyn Any + Send>),
 }
 
 struct FlagState {
@@ -322,7 +329,12 @@ pub(crate) struct Central {
     /// wait-cycle detection never rebuilds a map from scratch.
     by_identity: HashMap<Sym, Vec<usize>>,
     live_agents: usize,
-    pub(crate) request: Option<(AgentId, Request)>,
+    /// Stop before events at or past this time (set per [`Engine::drive`]).
+    limit: Option<SimTime>,
+    /// Left for the drive thread by the dispatch that ended the run.
+    outcome: Option<Outcome>,
+    /// Token passes from one thread to another (see [`Engine::handoffs`]).
+    handoffs: u64,
     pub(crate) trace: Trace,
     trace_enabled: bool,
     /// Shared with [`Shared::pool`]; lets lock-holding diagnostics resolve
@@ -484,6 +496,122 @@ impl Central {
         slot.wait_target = None;
     }
 
+    /// Apply a blocking agent's request: queue its resume, or park it on a
+    /// flag or barrier (with its deadline, if any).
+    pub(crate) fn apply_request(&mut self, agent: AgentId, request: Request) {
+        match request {
+            Request::Advance(dur) => {
+                let t = self.clock + dur;
+                self.push(t, Action::Resume(agent));
+            }
+            Request::WaitFlag {
+                flag,
+                cmp,
+                value,
+                deadline,
+                expected_from,
+            } => {
+                if cmp.eval(self.flags[flag.0].value, value) {
+                    let t = self.clock;
+                    if let Some(hb) = &self.hb {
+                        hb.on_wait_satisfied(agent, flag, t);
+                    }
+                    self.push(t, Action::Resume(agent));
+                } else {
+                    let epoch = {
+                        let slot = &mut self.agents[agent.0];
+                        slot.waiting_for = expected_from;
+                        slot.wait_target = Some(BlockedOn::Flag { flag, cmp, value });
+                        slot.wait_epoch += 1;
+                        slot.wait_epoch
+                    };
+                    self.flags[flag.0].waiters.push((agent, cmp, value));
+                    if let Some(d) = deadline {
+                        let d = d.max(self.clock);
+                        self.push(d, Action::TimeoutFire { agent, epoch });
+                    }
+                }
+            }
+            Request::Barrier {
+                barrier: b,
+                deadline,
+            } => {
+                let epoch = {
+                    let slot = &mut self.agents[agent.0];
+                    slot.wait_target = Some(BlockedOn::Barrier(b));
+                    slot.wait_epoch += 1;
+                    slot.wait_epoch
+                };
+                self.barriers[b.0].waiting.push(agent);
+                if self.barriers[b.0].waiting.len() == self.barriers[b.0].parties {
+                    let t = self.clock;
+                    let mut woken = std::mem::take(&mut self.barriers[b.0].waiting);
+                    if let Some(hb) = &self.hb {
+                        hb.on_barrier_release(&woken, b, t);
+                    }
+                    self.permute_woken(&mut woken);
+                    for w in woken {
+                        self.clear_wait(w);
+                        self.push(t, Action::Resume(w));
+                    }
+                } else if let Some(d) = deadline {
+                    let d = d.max(self.clock);
+                    self.push(d, Action::TimeoutFire { agent, epoch });
+                }
+            }
+            Request::Yield => {
+                let t = self.clock;
+                self.push(t, Action::Resume(agent));
+            }
+        }
+    }
+
+    /// A live deadline expires: cancel the agent's wait and resume it now.
+    /// A stale one (the wait completed first) is dropped WITHOUT touching
+    /// the clock, so it cannot distort end times.
+    fn fire_timeout(&mut self, agent: AgentId, epoch: u64, time: SimTime) {
+        let slot = &self.agents[agent.0];
+        if !(slot.alive && slot.wait_epoch == epoch && slot.wait_target.is_some()) {
+            return;
+        }
+        self.clock = time;
+        match self.agents[agent.0].wait_target {
+            Some(BlockedOn::Flag { flag, .. }) => {
+                self.flags[flag.0].waiters.retain(|&(a, _, _)| a != agent);
+            }
+            Some(BlockedOn::Barrier(b)) => {
+                self.barriers[b.0].waiting.retain(|&a| a != agent);
+            }
+            None => unreachable!("live timeout without wait target"),
+        }
+        self.clear_wait(agent);
+        self.agents[agent.0].timed_out = true;
+        self.push(time, Action::Resume(agent));
+    }
+
+    /// Why nothing is runnable before the limit: done, idle (bounded runs
+    /// only) or deadlocked.
+    fn stop_status(&self, next: Option<SimTime>) -> Result<RunStatus, SimError> {
+        if next.is_none() && self.live_agents == 0 {
+            return Ok(RunStatus::Done);
+        }
+        if self.limit.is_some() {
+            return Ok(RunStatus::Idle { next });
+        }
+        Err(SimError::Deadlock {
+            time: self.clock,
+            blocked: self.blocked_strings(),
+            cycle: self.wait_cycle(),
+        })
+    }
+
+    /// Give the token back to the drive thread with the run's outcome.
+    fn hand_back(&mut self, shared: &Shared, outcome: Outcome) {
+        self.outcome = Some(outcome);
+        self.turn = Turn::Scheduler;
+        shared.sched_cv.notify_one();
+    }
+
     /// Declare an agent's identity, keeping the `by_identity` index current.
     pub(crate) fn set_identity(&mut self, id: AgentId, identity: Sym) {
         let slot = &mut self.agents[id.0];
@@ -603,9 +731,10 @@ impl Central {
 
 pub(crate) struct Shared {
     pub(crate) central: Mutex<Central>,
+    /// Wakes the drive thread when the token comes back with an outcome.
     pub(crate) sched_cv: Condvar,
     /// The engine-wide symbol pool. Deliberately *outside* the central lock
-    /// so agents intern labels without serializing on the scheduler.
+    /// so agents intern labels without serializing on the token holder.
     pub(crate) pool: Arc<SymPool>,
 }
 
@@ -659,7 +788,9 @@ impl Engine {
                     agents: Vec::new(),
                     by_identity: HashMap::new(),
                     live_agents: 0,
-                    request: None,
+                    limit: None,
+                    outcome: None,
+                    handoffs: 0,
                     trace: Trace::with_pool(Arc::clone(&pool)),
                     trace_enabled: true,
                     pool: Arc::clone(&pool),
@@ -716,6 +847,14 @@ impl Engine {
         self.shared.central.lock().events
     }
 
+    /// Times the scheduling token passed from one thread to another — one
+    /// per `Resume` of an agent other than the one dispatching. Like
+    /// [`Engine::events_processed`] it is deterministic: a function of the
+    /// event order alone.
+    pub fn handoffs(&self) -> u64 {
+        self.shared.central.lock().handoffs
+    }
+
     /// Virtual time of the engine clock.
     pub fn now(&self) -> SimTime {
         self.shared.central.lock().clock
@@ -734,7 +873,7 @@ impl Engine {
     /// Spawn an agent, runnable at the current virtual time.
     ///
     /// Returns its id. The closure runs on a dedicated OS thread, but only
-    /// when the scheduler hands it the (single) execution token.
+    /// while that thread holds the (single) execution token.
     pub fn spawn<'a, F>(&self, name: impl Into<Label<'a>>, f: F) -> AgentId
     where
         F: FnOnce(&mut AgentCtx) + Send + 'static,
@@ -778,7 +917,9 @@ impl Engine {
     ///
     /// Returns the final virtual time, or an error on deadlock / agent panic.
     /// On error the engine is shut down: all parked agent threads are
-    /// unwound and joined, so the process does not leak threads.
+    /// unwound and joined, so the process does not leak threads. A panic in
+    /// a [`schedule_call`](AgentCtx::schedule_call) closure does the same
+    /// shutdown, then unwinds out of `run` with the closure's own payload.
     pub fn run(&self) -> Result<SimTime, SimError> {
         match self.drive(None) {
             Ok(_) => Ok(self.now()),
@@ -841,176 +982,32 @@ impl Engine {
         self.shared.central.lock().blocked_details()
     }
 
+    /// Start the first dispatch of a run, wait until the token comes back
+    /// with an outcome, then join the agents that finished meanwhile.
     fn drive(&self, limit: Option<SimTime>) -> Result<RunStatus, SimError> {
         let mut g = self.shared.central.lock();
-        loop {
-            let next = g.peek_time();
-            let runnable = match (next, limit) {
-                (Some(t), Some(l)) => t < l,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if !runnable {
-                if next.is_none() && g.live_agents == 0 {
-                    return Ok(RunStatus::Done);
-                }
-                if limit.is_some() {
-                    return Ok(RunStatus::Idle { next });
-                }
-                let time = g.clock;
-                let blocked = g.blocked_strings();
-                let cycle = g.wait_cycle();
-                return Err(SimError::Deadlock {
-                    time,
-                    blocked,
-                    cycle,
-                });
-            }
-            let (time, action) = g.pop_event().expect("peeked event vanished");
-            if let Action::TimeoutFire { agent, epoch } = action {
-                let live = {
-                    let slot = &g.agents[agent.0];
-                    slot.alive && slot.wait_epoch == epoch && slot.wait_target.is_some()
-                };
-                if !live {
-                    // The wait completed first; drop the deadline WITHOUT
-                    // touching the clock so it cannot distort end times.
-                    continue;
-                }
-                g.clock = time;
-                match g.agents[agent.0].wait_target {
-                    Some(BlockedOn::Flag { flag, .. }) => {
-                        g.flags[flag.0].waiters.retain(|&(a, _, _)| a != agent);
-                    }
-                    Some(BlockedOn::Barrier(b)) => {
-                        g.barriers[b.0].waiting.retain(|&a| a != agent);
-                    }
-                    None => unreachable!("live timeout without wait target"),
-                }
-                g.clear_wait(agent);
-                g.agents[agent.0].timed_out = true;
-                let t = g.clock;
-                g.push(t, Action::Resume(agent));
-                continue;
-            }
-            debug_assert!(time >= g.clock, "time went backwards");
-            g.clock = time;
-            match action {
-                Action::TimeoutFire { .. } => unreachable!("handled above"),
-                Action::Signal {
-                    flag,
-                    op,
-                    value,
-                    stamp,
-                } => {
-                    let at = g.clock;
-                    g.apply_signal(flag, op, value, at, stamp);
-                }
-                Action::Call(f) => {
-                    // Run outside the lock: the closure may take unrelated
-                    // locks (buffer mutexes) but must not re-enter the engine.
-                    drop(g);
-                    f();
-                    g = self.shared.central.lock();
-                }
-                Action::Resume(agent) => {
-                    // Hand the token to the agent and wait for it back.
-                    g.turn = Turn::Agent(agent);
-                    let cv = Arc::clone(&g.agents[agent.0].cv);
-                    cv.notify_one();
-                    while !matches!(g.turn, Turn::Scheduler) {
-                        self.shared.sched_cv.wait(&mut g);
-                    }
-                    let (id, request) = g.request.take().expect("agent yielded without request");
-                    debug_assert_eq!(id, agent);
-                    match request {
-                        Request::Advance(dur) => {
-                            let t = g.clock + dur;
-                            g.push(t, Action::Resume(agent));
-                        }
-                        Request::WaitFlag {
-                            flag,
-                            cmp,
-                            value,
-                            deadline,
-                            expected_from,
-                        } => {
-                            if cmp.eval(g.flags[flag.0].value, value) {
-                                let t = g.clock;
-                                if let Some(hb) = &g.hb {
-                                    hb.on_wait_satisfied(agent, flag, t);
-                                }
-                                g.push(t, Action::Resume(agent));
-                            } else {
-                                let epoch = {
-                                    let slot = &mut g.agents[agent.0];
-                                    slot.waiting_for = expected_from;
-                                    slot.wait_target = Some(BlockedOn::Flag { flag, cmp, value });
-                                    slot.wait_epoch += 1;
-                                    slot.wait_epoch
-                                };
-                                g.flags[flag.0].waiters.push((agent, cmp, value));
-                                if let Some(d) = deadline {
-                                    let d = d.max(g.clock);
-                                    g.push(d, Action::TimeoutFire { agent, epoch });
-                                }
-                            }
-                        }
-                        Request::Barrier {
-                            barrier: b,
-                            deadline,
-                        } => {
-                            let epoch = {
-                                let slot = &mut g.agents[agent.0];
-                                slot.wait_target = Some(BlockedOn::Barrier(b));
-                                slot.wait_epoch += 1;
-                                slot.wait_epoch
-                            };
-                            g.barriers[b.0].waiting.push(agent);
-                            if g.barriers[b.0].waiting.len() == g.barriers[b.0].parties {
-                                let t = g.clock;
-                                let mut woken = std::mem::take(&mut g.barriers[b.0].waiting);
-                                if let Some(hb) = &g.hb {
-                                    hb.on_barrier_release(&woken, b, t);
-                                }
-                                g.permute_woken(&mut woken);
-                                for w in woken {
-                                    g.clear_wait(w);
-                                    g.push(t, Action::Resume(w));
-                                }
-                            } else if let Some(d) = deadline {
-                                let d = d.max(g.clock);
-                                g.push(d, Action::TimeoutFire { agent, epoch });
-                            }
-                        }
-                        Request::Yield => {
-                            let t = g.clock;
-                            g.push(t, Action::Resume(agent));
-                        }
-                        Request::Finished(kind) => {
-                            g.agents[agent.0].alive = false;
-                            g.live_agents -= 1;
-                            if let Some(h) = g.agents[agent.0].handle.take() {
-                                // The thread is past its last handoff; join is
-                                // immediate and keeps the process tidy.
-                                drop(g);
-                                let _ = h.join();
-                                g = self.shared.central.lock();
-                            }
-                            match kind {
-                                FinishKind::Ok => {}
-                                FinishKind::Panic(message) => {
-                                    let agent_name = g.agent_name(agent).to_string();
-                                    return Err(SimError::AgentPanic {
-                                        agent: agent_name,
-                                        message,
-                                    });
-                                }
-                                FinishKind::Abort(err) => return Err(err),
-                            }
-                        }
-                    }
-                }
+        g.limit = limit;
+        g = dispatch(&self.shared, g, None);
+        while !matches!(g.turn, Turn::Scheduler) {
+            self.shared.sched_cv.wait(&mut g);
+        }
+        let outcome = g.outcome.take().expect("token returned without an outcome");
+        let finished: Vec<JoinHandle<()>> = g
+            .agents
+            .iter_mut()
+            .filter(|a| !a.alive)
+            .filter_map(|a| a.handle.take())
+            .collect();
+        drop(g);
+        for h in finished {
+            // Each is past its last dispatch; the join is immediate.
+            let _ = h.join();
+        }
+        match outcome {
+            Outcome::Status(status) => status,
+            Outcome::CallPanic(payload) => {
+                self.shutdown();
+                resume_unwind(payload)
             }
         }
     }
@@ -1044,6 +1041,68 @@ impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// The scheduler: run the event queue on the calling thread, whichever
+/// thread holds the token, until the next `Resume`.
+///
+/// `holder` is the agent whose thread is dispatching; `None` for the drive
+/// thread and for an agent thread that has finished. Resuming the holder
+/// returns at once, with no thread switch. Resuming any other agent sets
+/// `turn`, wakes exactly that agent and returns, for the caller to park.
+/// When nothing is runnable before the limit, or a `Call` panics, the
+/// outcome goes back to the drive thread instead.
+pub(crate) fn dispatch<'a>(
+    shared: &'a Shared,
+    mut g: MutexGuard<'a, Central>,
+    holder: Option<AgentId>,
+) -> MutexGuard<'a, Central> {
+    let outcome = loop {
+        let next = g.peek_time();
+        let runnable = match (next, g.limit) {
+            (Some(t), Some(l)) => t < l,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if !runnable {
+            break Outcome::Status(g.stop_status(next));
+        }
+        let (time, action) = g.pop_event().expect("peeked event vanished");
+        // A deadline moves the clock only if it fires (see `fire_timeout`).
+        if !matches!(action, Action::TimeoutFire { .. }) {
+            debug_assert!(time >= g.clock, "time went backwards");
+            g.clock = time;
+        }
+        match action {
+            Action::TimeoutFire { agent, epoch } => g.fire_timeout(agent, epoch, time),
+            Action::Signal {
+                flag,
+                op,
+                value,
+                stamp,
+            } => g.apply_signal(flag, op, value, time, stamp),
+            Action::Call(f) => {
+                // Run outside the lock: the closure may take unrelated
+                // locks (buffer mutexes) but must not re-enter the engine.
+                drop(g);
+                let result = catch_unwind(AssertUnwindSafe(f));
+                g = shared.central.lock();
+                if let Err(payload) = result {
+                    break Outcome::CallPanic(payload);
+                }
+            }
+            Action::Resume(agent) => {
+                if holder != Some(agent) {
+                    g.handoffs += 1;
+                    g.turn = Turn::Agent(agent);
+                    g.agents[agent.0].cv.notify_one();
+                }
+                return g;
+            }
+        }
+    };
+    g.hand_back(shared, outcome);
+    g
 }
 
 /// Sentinel panic payload used to unwind agents during shutdown.
@@ -1086,7 +1145,7 @@ where
     let handle = std::thread::Builder::new()
         .name(format!("sim-agent-{}", id.0))
         .spawn(move || {
-            // Park until the scheduler hands us the token for the first time.
+            // Park until the token reaches us for the first time.
             {
                 let mut g = thread_shared.central.lock();
                 while !matches!(g.turn, Turn::Agent(a) if a == id) {
@@ -1098,10 +1157,10 @@ where
             }
             let mut ctx = AgentCtx::new(Arc::clone(&thread_shared), id, Arc::clone(&thread_cv));
             let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            let kind = match result {
-                Ok(()) => FinishKind::Ok,
+            let failure = match result {
+                Ok(()) => None,
                 Err(payload) => match payload.downcast::<AbortSim>() {
-                    Ok(abort) => FinishKind::Abort(abort.0),
+                    Ok(abort) => Some(abort.0),
                     Err(payload) => {
                         if payload.downcast_ref::<ShutdownUnwind>().is_some() {
                             // Engine-initiated unwind: exit silently, the
@@ -1109,15 +1168,22 @@ where
                             // expectations.
                             return;
                         }
-                        FinishKind::Panic(render_panic(&*payload))
+                        Some(SimError::AgentPanic {
+                            agent: ctx.name(),
+                            message: render_panic(&*payload),
+                        })
                     }
                 },
             };
-            // Final handoff: report completion to the scheduler.
+            // Last dispatch: pass the token on (or end the run), then exit.
+            // The drive thread joins this thread when the token returns.
             let mut g = thread_shared.central.lock();
-            g.request = Some((id, Request::Finished(kind)));
-            g.turn = Turn::Scheduler;
-            thread_shared.sched_cv.notify_one();
+            g.agents[id.0].alive = false;
+            g.live_agents -= 1;
+            match failure {
+                None => drop(dispatch(&thread_shared, g, None)),
+                Some(err) => g.hand_back(&thread_shared, Outcome::Status(Err(err))),
+            }
         })
         .expect("failed to spawn agent thread");
     shared.central.lock().agents[id.0].handle = Some(handle);
@@ -1131,5 +1197,153 @@ fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "(non-string panic payload)".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::time::us;
+
+    /// Only the engine itself still holds the shared state: every agent
+    /// thread (and its `AgentCtx`) is gone.
+    fn assert_threads_joined(engine: &Engine) {
+        assert_eq!(
+            Arc::strong_count(&engine.shared),
+            1,
+            "an agent thread leaked"
+        );
+    }
+
+    #[test]
+    fn one_agent_advancing_costs_one_handoff() {
+        let engine = Engine::new();
+        engine.spawn("solo", |ctx| {
+            for _ in 0..1000 {
+                ctx.advance(us(1.0));
+            }
+        });
+        assert_eq!(engine.run().unwrap(), SimTime::ZERO + us(1000.0));
+        assert_eq!(engine.events_processed(), 1001);
+        // Only the first resume switches threads; every later one is the
+        // dispatching agent's own.
+        assert_eq!(engine.handoffs(), 1);
+    }
+
+    #[test]
+    fn ping_pong_costs_one_handoff_per_resume() {
+        const ROUNDS: u64 = 50;
+        let engine = Engine::new();
+        let flag = engine.flag(0);
+        engine.spawn("pong", move |ctx| {
+            for i in 0..ROUNDS {
+                ctx.wait_flag(flag, Cmp::Eq, 2 * i + 1);
+                ctx.signal(flag, SignalOp::Set, 2 * i + 2);
+            }
+        });
+        engine.spawn("ping", move |ctx| {
+            for i in 0..ROUNDS {
+                ctx.signal(flag, SignalOp::Set, 2 * i + 1);
+                ctx.wait_flag(flag, Cmp::Eq, 2 * i + 2);
+            }
+        });
+        engine.run().unwrap();
+        // Each agent: its first resume plus one wake per round. Every
+        // resume goes to the other agent, so each is one handoff.
+        assert_eq!(engine.events_processed(), 2 * ROUNDS + 2);
+        assert_eq!(engine.handoffs(), 2 * ROUNDS + 2);
+    }
+
+    #[test]
+    fn call_panic_escapes_run_with_its_own_payload() {
+        let engine = Engine::new();
+        let flag = engine.flag(0);
+        engine.spawn("issuer", |ctx| {
+            ctx.schedule_call(us(5.0), || panic!("call failed"));
+            // The call falls due inside this agent's own dispatch.
+            ctx.advance(us(10.0));
+        });
+        engine.spawn("bystander", move |ctx| ctx.wait_flag(flag, Cmp::Ge, 1));
+        let payload = catch_unwind(AssertUnwindSafe(|| engine.run()))
+            .expect_err("the call's panic must escape Engine::run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"call failed"));
+        assert_threads_joined(&engine);
+    }
+
+    /// Held in an agent thread's TLS, so it is dropped only as the thread
+    /// exits, after the thread's last dispatch. The delay makes an unjoined
+    /// thread still be exiting when `run` returns.
+    struct SlowExit {
+        _held: Arc<()>,
+    }
+
+    impl Drop for SlowExit {
+        fn drop(&mut self) {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    }
+
+    thread_local!(static EXIT: std::cell::RefCell<Option<SlowExit>> = const {
+        std::cell::RefCell::new(None)
+    });
+
+    #[test]
+    fn ok_run_joins_every_agent_thread() {
+        let engine = Engine::new();
+        let flag = engine.flag(0);
+        let exiting = Arc::new(());
+        let child_exit = Arc::clone(&exiting);
+        engine.spawn("parent", move |ctx| {
+            ctx.spawn("child", move |ctx| {
+                EXIT.with(|e| *e.borrow_mut() = Some(SlowExit { _held: child_exit }));
+                ctx.advance(us(2.0));
+                ctx.signal(flag, SignalOp::Set, 1);
+            });
+            ctx.wait_flag(flag, Cmp::Ge, 1);
+        });
+        engine.spawn("other", |ctx| ctx.advance(us(3.0)));
+        assert_eq!(engine.run().unwrap(), SimTime::ZERO + us(3.0));
+        assert_threads_joined(&engine);
+        assert_eq!(
+            Arc::strong_count(&exiting),
+            1,
+            "a finished agent was not joined"
+        );
+    }
+
+    #[test]
+    fn deadlocked_run_joins_every_agent_thread() {
+        let engine = Engine::new();
+        let flag = engine.flag(0);
+        engine.spawn("finisher", |ctx| ctx.advance(us(1.0)));
+        engine.spawn("stuck", move |ctx| ctx.wait_flag(flag, Cmp::Ge, 1));
+        assert!(matches!(engine.run(), Err(SimError::Deadlock { .. })));
+        assert_threads_joined(&engine);
+    }
+
+    #[test]
+    fn agent_panic_mid_pass_joins_every_agent_thread() {
+        let engine = Engine::new();
+        let flag = engine.flag(0);
+        engine.spawn("walker", |ctx| {
+            for _ in 0..4 {
+                ctx.advance(us(1.0));
+            }
+        });
+        engine.spawn("boom", |ctx| {
+            ctx.advance(us(1.5));
+            panic!("boom");
+        });
+        engine.spawn("parked", move |ctx| ctx.wait_flag(flag, Cmp::Ge, 1));
+        match engine.run() {
+            Err(SimError::AgentPanic { agent, message }) => {
+                assert_eq!((agent.as_str(), message.as_str()), ("boom", "boom"));
+            }
+            other => panic!("expected the agent's panic, got {other:?}"),
+        }
+        // drive -> walker -> boom -> parked -> walker -> boom: `boom` panics
+        // on a token `walker` passed it, with `walker` parked mid-handoff.
+        assert_eq!(engine.handoffs(), 5);
+        assert_threads_joined(&engine);
     }
 }

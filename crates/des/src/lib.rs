@@ -5,7 +5,9 @@
 //! * a **virtual clock** with nanosecond resolution ([`SimTime`], [`SimDur`]);
 //! * **agents** — imperative simulated routines written as plain closures,
 //!   each on its own OS thread but scheduled strictly one-at-a-time for full
-//!   determinism ([`Engine::spawn`], [`AgentCtx`]);
+//!   determinism: a blocking agent runs the scheduler itself and passes the
+//!   single execution token straight to the next agent's thread
+//!   ([`Engine::spawn`], [`AgentCtx`]);
 //! * **flags** (64-bit signal cells with comparison waits, mirroring the
 //!   NVSHMEM signaling API) and reusable **barriers** (mirroring CUDA
 //!   cooperative-groups `grid.sync()`);

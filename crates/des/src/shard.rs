@@ -2,7 +2,7 @@
 //!
 //! [`ShardedEngine`] partitions the agents of a single simulation into
 //! *shards*, each backed by its own serial [`Engine`] (own slab event
-//! queue, own scheduler thread), and executes the shards concurrently
+//! queue, own scheduling token), and executes the shards concurrently
 //! under a classic conservative synchronization protocol (Chandy–Misra
 //! with a safe-horizon barrier, à la bounded lag):
 //!
