@@ -948,6 +948,66 @@ fn parse_flag(args: &mut Vec<String>, name: &str, default: u64, reject_zero: boo
     }
 }
 
+/// The gates: subcommands that run alone and exit with their status, each
+/// with the arguments it accepts. `--json` and `--jobs N` are global.
+const GATES: &[(&str, &[&str])] = &[
+    ("verify", &[]),
+    ("chaos", &["--seeds N"]),
+    ("chaos-replay", &["<reproducer.json>"]),
+    ("des_core", &["--check", "--shards N"]),
+    ("traffic", &["--check"]),
+    ("cost", &["--check"]),
+];
+
+/// Figure sections; name any number of them (none: all of them).
+const FIGURES: &[&str] = &[
+    "fig2_1",
+    "fig2_2",
+    "fig2_2a",
+    "fig2_2b",
+    "fig5_1",
+    "fig6_1",
+    "fig6_2",
+    "fig6_3",
+    "fig6_3a",
+    "fig6_3b",
+    "ablations",
+    "cg",
+    "faults",
+    "degraded",
+    "breakdown",
+    "sensitivity",
+    "topo",
+    "grid2d",
+    "check",
+];
+
+/// Report a malformed command line and exit 2, before any work is done.
+fn usage_error(msg: &str) -> ! {
+    let gates: Vec<String> = GATES
+        .iter()
+        .map(|(gate, flags)| {
+            let flags: String = flags
+                .iter()
+                .map(|f| {
+                    if f.starts_with('<') {
+                        format!(" {f}")
+                    } else {
+                        format!(" [{f}]")
+                    }
+                })
+                .collect();
+            format!("  figures {gate}{flags}")
+        })
+        .collect();
+    eprintln!(
+        "{msg}\nusage: figures [--json] [--jobs N] [FIGURE...]\n{}\nFIGUREs: {}",
+        gates.join("\n"),
+        FIGURES.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--json") {
@@ -962,57 +1022,43 @@ fn main() {
         std::process::exit(2);
     }
     let jobs = parse_flag(&mut args, "jobs", sim_des::default_jobs() as u64, true) as usize;
-    // `verify`, `chaos`, `chaos-replay`, and `des_core --check` are gates,
-    // not figures: run them alone and propagate their exit status.
-    if args.iter().any(|a| a == "verify") {
-        std::process::exit(verify(jobs));
-    }
-    if let Some(i) = args.iter().position(|a| a == "chaos-replay") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("usage: figures chaos-replay <reproducer.json>");
-            std::process::exit(2);
-        };
-        std::process::exit(chaos_replay(path));
-    }
-    if args.iter().any(|a| a == "chaos") {
-        let seeds = parse_flag(
-            &mut args,
-            "seeds",
-            cpufree_bench::chaos::DEFAULT_SEED_BUDGET,
-            true,
-        );
-        std::process::exit(chaos(seeds, jobs));
-    }
-    if args.iter().any(|a| a == "des_core") {
-        let check = args.iter().any(|a| a == "--check");
-        let shards = parse_flag(&mut args, "shards", 4, true) as usize;
-        std::process::exit(des_core(check, shards));
-    }
-    if args.iter().any(|a| a == "traffic") {
-        let check = args.iter().any(|a| a == "--check");
-        std::process::exit(traffic(check, jobs));
-    }
-    if args.iter().any(|a| a == "cost") {
-        // Strict parsing, like `--jobs`/`--seeds`: anything beyond
-        // `cost [--check]` is a mistake and must fail loudly (exit 2),
-        // not silently run a full default sweep.
-        let check = args.iter().any(|a| a == "--check");
-        let stray: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "cost" && *a != "--check")
-            .collect();
-        if !stray.is_empty() {
-            eprintln!(
-                "unrecognized argument(s) for cost: {}\nusage: figures cost [--check] [--jobs N]",
-                stray
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            std::process::exit(2);
+    // A gate runs alone and propagates its exit status; everything on the
+    // command line besides it must be one of its flags.
+    if let Some(&(gate, flags)) = GATES.iter().find(|(g, _)| args.iter().any(|a| a == g)) {
+        let takes = |flag: &str| flags.iter().any(|f| f.split(' ').next() == Some(flag));
+        let seeds = takes("--seeds").then(|| {
+            parse_flag(
+                &mut args,
+                "seeds",
+                cpufree_bench::chaos::DEFAULT_SEED_BUDGET,
+                true,
+            )
+        });
+        let shards = takes("--shards").then(|| parse_flag(&mut args, "shards", 4, true) as usize);
+        let check = takes("--check") && args.iter().any(|a| a == "--check");
+        args.retain(|a| a != gate && !(check && a == "--check"));
+        if gate == "chaos-replay" {
+            let [path] = args.as_slice() else {
+                usage_error("chaos-replay takes exactly one reproducer path");
+            };
+            std::process::exit(chaos_replay(path));
         }
-        std::process::exit(cost(check, jobs));
+        if !args.is_empty() {
+            usage_error(&format!(
+                "unrecognized argument(s) for {gate}: {}",
+                args.join(" ")
+            ));
+        }
+        std::process::exit(match gate {
+            "verify" => verify(jobs),
+            "chaos" => chaos(seeds.unwrap_or_default(), jobs),
+            "des_core" => des_core(check, shards.unwrap_or_default()),
+            "traffic" => traffic(check, jobs),
+            _ => cost(check, jobs),
+        });
+    }
+    if let Some(stray) = args.iter().find(|a| !FIGURES.contains(&a.as_str())) {
+        usage_error(&format!("unknown figure or argument: {stray}"));
     }
     let all = args.is_empty();
     let want = |name: &str| all || args.iter().any(|a| a == name);

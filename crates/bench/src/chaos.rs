@@ -25,7 +25,7 @@ use sim_des::chaos::{
     atoms, classify_error, plan_from_json, plan_to_json, shrink, string_field, ChaosOutcome,
 };
 use sim_des::{us, CrashFault, DropFault, FaultPlan, LinkFault, SimTime, StragglerFault};
-use stencil_lab::{DegradedConfig, FtConfig, StencilConfig};
+use stencil_lab::{FtConfig, StencilConfig};
 
 use gpu_sim::{CostModel, ExecMode, Topology, TopologyKind};
 use sim_des::SimDur;
@@ -285,7 +285,7 @@ pub fn run_degraded_schedule(
     match workload {
         ChaosWorkload::Jacobi => {
             let base = degraded_jacobi_config(topo);
-            match stencil_lab::run_cpu_free_degraded(&DegradedConfig::new(base, plan.clone())) {
+            match stencil_lab::run_cpu_free_degraded(&FtConfig::new(base, plan.clone())) {
                 Ok(ex) => degraded_outcome(
                     ex.quorum.clone(),
                     ex.max_err == Some(0.0),
@@ -296,7 +296,10 @@ pub fn run_degraded_schedule(
         }
         ChaosWorkload::Cg => {
             let prob = degraded_cg_problem(topo);
-            match cpufree_solvers::run_cpu_free_degraded(&prob, plan, ExecMode::Full) {
+            match cpufree_solvers::run_cpu_free_degraded(
+                &CgFtConfig::new(prob.clone(), plan.clone()),
+                ExecMode::Full,
+            ) {
                 Ok(ex) => {
                     let err = ex.verify(&prob, plan);
                     degraded_outcome(
@@ -867,17 +870,18 @@ pub fn replay(document: &str) -> Result<(ChaosWorkload, TopologyKind, ChaosOutco
 /// actually forces the healed route.
 fn degraded_total(workload: ChaosWorkload, topo: TopologyKind, plan: &FaultPlan) -> Option<SimDur> {
     match workload {
-        ChaosWorkload::Jacobi => stencil_lab::run_cpu_free_degraded(&DegradedConfig::new(
+        ChaosWorkload::Jacobi => stencil_lab::run_cpu_free_degraded(&FtConfig::new(
             degraded_jacobi_config(topo),
             plan.clone(),
         ))
         .ok()
         .map(|ex| ex.total),
-        ChaosWorkload::Cg => {
-            cpufree_solvers::run_cpu_free_degraded(&degraded_cg_problem(topo), plan, ExecMode::Full)
-                .ok()
-                .map(|ex| ex.total)
-        }
+        ChaosWorkload::Cg => cpufree_solvers::run_cpu_free_degraded(
+            &CgFtConfig::new(degraded_cg_problem(topo), plan.clone()),
+            ExecMode::Full,
+        )
+        .ok()
+        .map(|ex| ex.total),
     }
 }
 
@@ -911,16 +915,18 @@ pub fn degraded_rows() -> Vec<DegradedRow> {
             for (label, plan) in degraded_plans() {
                 let (total, quorum, retries, result_bits) = match workload {
                     ChaosWorkload::Jacobi => {
-                        let cfg = DegradedConfig::new(degraded_jacobi_config(topology), plan);
+                        let cfg = FtConfig::new(degraded_jacobi_config(topology), plan);
                         let ex = stencil_lab::run_cpu_free_degraded(&cfg)
                             .expect("degraded jacobi run failed");
                         (ex.total, ex.quorum, ex.retries, ex.checksum)
                     }
                     ChaosWorkload::Cg => {
                         let prob = degraded_cg_problem(topology);
-                        let ex =
-                            cpufree_solvers::run_cpu_free_degraded(&prob, &plan, ExecMode::Full)
-                                .expect("degraded CG run failed");
+                        let ex = cpufree_solvers::run_cpu_free_degraded(
+                            &CgFtConfig::new(prob.clone(), plan.clone()),
+                            ExecMode::Full,
+                        )
+                        .expect("degraded CG run failed");
                         (ex.total, ex.quorum, ex.retries, ex.final_rho.to_bits())
                     }
                 };

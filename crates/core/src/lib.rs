@@ -18,8 +18,10 @@
 //! is provided by [`launch_cpu_free_dual`] with [`LocalRendezvous`].
 //! [`RunStats`] measures what the paper's figures report — per-iteration
 //! time, exposed communication, overlap ratio — from the simulation trace.
-//! [`Rollback`] is the checkpoint/restart driver every fault-tolerant
-//! persistent kernel runs under.
+//! A workload writes its persistent-kernel iteration once, as a
+//! [`Recoverable`], and runs it under one of three [`Driver`]s: [`Blocking`]
+//! (fault-free), [`Rollback`] (checkpoint/restart) or [`Quorum`] (degraded
+//! mode).
 
 #![warn(missing_docs)]
 
@@ -32,8 +34,8 @@ mod watchdog;
 pub use alloc::TbAllocation;
 pub use launch::{launch_cpu_free, launch_cpu_free_dual, persistent_loop, LocalRendezvous};
 pub use rollback::{
-    FtCtx, Interrupted, Recoverable, Rollback, RollbackCounts, CHECKPOINT_EVERY, POLL,
-    WATCHDOG_INTERVAL,
+    run_blocking, Blocking, Driver, FtCtx, Halo, Interrupted, Quorum, Recoverable, Rollback,
+    RollbackCounts, CHECKPOINT_EVERY, POLL, WATCHDOG_INTERVAL,
 };
 pub use stats::RunStats;
 pub use watchdog::{spawn_watchdog, WatchdogSpec};

@@ -186,6 +186,18 @@ impl FaultPlan {
         self
     }
 
+    /// The iteration at which `node` crashes, if any: its earliest listed
+    /// crash, clamped to 1 (iterations are 1-based, so a crash "at 0" hits
+    /// the first one). Every runner, quorum and oracle reads a node's crash
+    /// through this one function.
+    pub fn crash_iteration(&self, node: usize) -> Option<u64> {
+        self.crashes
+            .iter()
+            .filter(|c| c.node == node)
+            .map(|c| c.at_iteration.max(1))
+            .min()
+    }
+
     /// True when the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
         self.links.is_empty()
@@ -357,15 +369,6 @@ impl FaultState {
         })
     }
 
-    /// The iteration at which `node` is scheduled to crash, if any.
-    pub fn crash_iteration(&self, node: usize) -> Option<u64> {
-        self.plan
-            .crashes
-            .iter()
-            .find(|c| c.node == node)
-            .map(|c| c.at_iteration)
-    }
-
     /// Compute-time multiplier for `node` at time `now` (1.0 when healthy).
     pub fn compute_mult(&self, node: usize, now: SimTime) -> f64 {
         let mut m = 1.0;
@@ -452,10 +455,22 @@ mod tests {
     }
 
     #[test]
+    fn crash_iteration_is_the_earliest_crash_clamped_to_one() {
+        let crash = |node, at_iteration| CrashFault { node, at_iteration };
+        let plan = FaultPlan::new()
+            .with_crash(crash(1, 6))
+            .with_crash(crash(1, 3))
+            .with_crash(crash(2, 0));
+        assert_eq!(plan.crash_iteration(0), None);
+        assert_eq!(plan.crash_iteration(1), Some(3));
+        assert_eq!(plan.crash_iteration(2), Some(1));
+    }
+
+    #[test]
     fn fault_free_state_is_inactive() {
         let st = FaultState::none();
         assert!(!st.is_active());
-        assert!(st.crash_iteration(0).is_none());
+        assert!(st.plan().crash_iteration(0).is_none());
         assert_eq!(st.compute_mult(0, SimTime(123)), 1.0);
     }
 }

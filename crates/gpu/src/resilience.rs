@@ -146,20 +146,14 @@ impl HealedRoutes {
     }
 }
 
-/// The PEs still alive *entering* iteration `t` (1-based), under the
-/// degraded-mode reading of [`sim_des::CrashFault`] as permanent death at
-/// the start of `at_iteration`. Ascending PE ids — this is the quorum every
-/// degraded collective reports.
+/// The PEs still alive *entering* iteration `t` (1-based; `t = 0` is
+/// before the first, when everyone is), under the degraded-mode reading of
+/// [`sim_des::CrashFault`] as permanent death at the start of
+/// [`FaultPlan::crash_iteration`]. Ascending PE ids — this is the quorum
+/// every degraded collective reports.
 pub fn alive_at(plan: &FaultPlan, n: usize, t: u64) -> Vec<usize> {
     (0..n)
-        .filter(|&pe| {
-            plan.crashes
-                .iter()
-                .filter(|c| c.node == pe)
-                .map(|c| c.at_iteration)
-                .min()
-                .is_none_or(|d| t < d)
-        })
+        .filter(|&pe| plan.crash_iteration(pe).is_none_or(|d| t < d))
         .collect()
 }
 

@@ -3,14 +3,23 @@
 //! (discrete kernels, host-staged reductions, host barriers) — the solver
 //! counterpart of the paper's stencil comparison, and the application class
 //! (PERKS' CG) the paper cites as benefiting from persistent execution.
+//!
+//! The CPU-Free set-up (`CpuFreeCg`) and per-PE iteration (`CgPe`) are
+//! written once for all three CPU-Free paths; the entry point picks the
+//! driver: [`run_cpu_free`] runs them under [`cpufree_core::Blocking`],
+//! [`crate::ft::run_cpu_free_ft`] under [`cpufree_core::Rollback`] and
+//! [`crate::degraded::run_cpu_free_degraded`] under
+//! [`cpufree_core::Quorum`].
 
 use crate::kernels::{axpy_xr, dot_local, matvec, update_p, vec_op};
 use crate::problem::{PoissonProblem, ReduceOrder};
-use cpufree_core::{launch_cpu_free, RunStats};
-use gpu_sim::{BlockGroup, Buf, DevId, ExecMode, Machine};
-use nvshmem_sim::{allreduce_scalar, AllreduceWs, ReduceOp, ShmemCtx, ShmemWorld};
+use cpufree_core::{
+    launch_cpu_free, run_blocking, Blocking, Driver, Halo, Interrupted, Recoverable, RunStats,
+};
+use gpu_sim::{BlockGroup, Buf, DevId, ExecMode, FaultPlan, KernelCtx, Machine};
+use nvshmem_sim::{AllreduceWs, ShmemCtx, ShmemWorld, SymArray, SymSignal};
 use sim_des::lock::Mutex;
-use sim_des::{Category, Cmp, SignalOp, SimDur, SimTime};
+use sim_des::{Category, SignalOp, SimDur, SimError, SimTime};
 use std::sync::Arc;
 
 /// Result of one distributed CG run.
@@ -57,7 +66,7 @@ impl CgResult {
     }
 }
 
-/// Per-PE workload description shared by both variants.
+/// Per-PE workload description shared by every variant.
 pub(crate) struct PeState {
     pub(crate) x: Buf,
     pub(crate) r: Buf,
@@ -85,26 +94,135 @@ pub(crate) fn alloc_state(machine: &Machine, prob: &PoissonProblem, pe: usize) -
     st
 }
 
-/// Elements a halo row carries.
-pub(crate) fn halo_len(prob: &PoissonProblem) -> usize {
-    prob.nx
+/// Offset of PE `pe`'s high p-halo row (its low halo is row 0, its owned
+/// rows start at row 1 — the stencil's layout).
+fn high_halo(prob: &PoissonProblem, pe: usize) -> usize {
+    (prob.slab().layers(pe) + 1) * prob.nx
 }
 
-/// Per-iteration p-halo exchange offsets (same layout as the stencil).
-pub(crate) struct HaloGeom {
-    pub(crate) first_row: usize,
-    pub(crate) low_halo: usize,
-    pub(crate) high_halo_of: Vec<usize>,
+/// Everything one CPU-Free CG run allocates before launch — the same for
+/// the plain, fault-tolerant and degraded entry points.
+pub(crate) struct CpuFreeCg {
+    prob: PoissonProblem,
+    pub(crate) machine: Machine,
+    pub(crate) world: ShmemWorld,
+    p: SymArray,
+    sig_low: SymSignal,
+    sig_high: SymSignal,
+    ws: AllreduceWs,
+    pub(crate) states: Vec<Arc<PeState>>,
+    /// Each PE's final rho.
+    pub(crate) rhos: Mutex<Vec<f64>>,
 }
 
-pub(crate) fn halo_geom(prob: &PoissonProblem) -> HaloGeom {
-    let slab = prob.slab();
-    HaloGeom {
-        first_row: prob.nx,
-        low_halo: 0,
-        high_halo_of: (0..prob.n_pes)
-            .map(|pe| (slab.layers(pe) + 1) * prob.nx)
-            .collect(),
+impl CpuFreeCg {
+    /// Allocate `prob` on a fresh machine under `plan` (`None`: no fault
+    /// plan at all). `ws` allocates the allreduce workspace, whose schedule
+    /// fixes the reduction order.
+    pub(crate) fn new(
+        prob: &PoissonProblem,
+        exec: ExecMode,
+        plan: Option<&FaultPlan>,
+        ws: fn(&ShmemWorld) -> AllreduceWs,
+    ) -> Arc<CpuFreeCg> {
+        let machine = prob.machine(exec);
+        if let Some(plan) = plan {
+            machine.set_fault_plan(plan.clone());
+        }
+        let world = ShmemWorld::init(&machine);
+        let len = (prob.slab().max_layers() + 2) * prob.nx;
+        // p lives on the symmetric heap (its halos are written remotely).
+        let p = world.malloc("p", len);
+        let sig_low = world.signal(0);
+        let sig_high = world.signal(0);
+        let ws = ws(&world);
+        let states = (0..prob.n_pes)
+            .map(|pe| {
+                let st = alloc_state(&machine, prob, pe);
+                if exec == ExecMode::Full {
+                    // p0 = r0 = b.
+                    p.local(pe).write_slice(0, &prob.local_b(pe));
+                }
+                Arc::new(st)
+            })
+            .collect();
+        Arc::new(CpuFreeCg {
+            prob: prob.clone(),
+            machine,
+            world,
+            p,
+            sig_low,
+            sig_high,
+            ws,
+            states,
+            rhos: Mutex::new(vec![0.0; prob.n_pes]),
+        })
+    }
+
+    /// Launch the persistent kernel `kernel` (one block group `group` per
+    /// PE) and run it: each PE hands its [`CgPe`] to `drive`, which runs it
+    /// under a driver; its final rho lands in `rhos`.
+    pub(crate) fn launch<F>(
+        self: &Arc<Self>,
+        kernel: &str,
+        group: &'static str,
+        drive: F,
+    ) -> Result<SimTime, SimError>
+    where
+        F: FnOnce(&mut KernelCtx<'_>, &mut ShmemCtx, usize, &mut CgPe<'_>)
+            + Clone
+            + Send
+            + Sync
+            + 'static,
+    {
+        let run = Arc::clone(self);
+        launch_cpu_free(&self.machine, kernel, 1024, move |pe| {
+            let (run, drive) = (Arc::clone(&run), drive.clone());
+            let mut ws = run.ws.clone();
+            vec![BlockGroup::new(group, 108, move |k| {
+                let mut sh = ShmemCtx::new(&run.world, k);
+                let (st, nx) = (&run.states[pe], run.prob.nx);
+                let low = (pe > 0).then(|| Halo {
+                    nb: pe - 1,
+                    dst: high_halo(&run.prob, pe - 1),
+                    src: nx,
+                    sig_there: &run.sig_high,
+                    sig_here: &run.sig_low,
+                });
+                let high = (pe + 1 < run.prob.n_pes).then(|| Halo {
+                    nb: pe + 1,
+                    dst: 0,
+                    src: st.layers * nx,
+                    sig_there: &run.sig_low,
+                    sig_here: &run.sig_high,
+                });
+                let mut w = CgPe {
+                    st,
+                    p: &run.p,
+                    sig_low: &run.sig_low,
+                    sig_high: &run.sig_high,
+                    ws: &mut ws,
+                    halos: low.into_iter().chain(high).collect(),
+                    pe,
+                    rho: 0.0,
+                    snap: None,
+                };
+                drive(k, &mut sh, pe, &mut w);
+                run.rhos.lock()[pe] = w.rho;
+            })]
+        })
+    }
+
+    /// The run's [`CgResult`] once the machine finished at `end`.
+    pub(crate) fn collect(&self, end: SimTime) -> CgResult {
+        collect(
+            &self.prob,
+            &self.machine,
+            &self.states,
+            end,
+            &self.rhos,
+            ReduceOrder::Doubling,
+        )
     }
 }
 
@@ -112,128 +230,159 @@ pub(crate) fn halo_geom(prob: &PoissonProblem) -> HaloGeom {
 /// cooperative kernel per PE performs the halo exchange, the matvec and
 /// vector updates, and the device-side allreduces. The host launches once.
 pub fn run_cpu_free(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
-    let machine = prob.machine(exec);
-    let world = ShmemWorld::init(&machine);
-    let slab = prob.slab();
-    let len = (slab.max_layers() + 2) * prob.nx;
-    // p lives on the symmetric heap (its halos are written remotely).
-    let p = world.malloc("p", len);
-    let sig_low = world.signal(0);
-    let sig_high = world.signal(0);
-    let ws = AllreduceWs::new(&world);
-    let states: Vec<Arc<PeState>> = (0..prob.n_pes)
-        .map(|pe| {
-            let st = alloc_state(&machine, prob, pe);
-            if exec == ExecMode::Full {
-                // p0 = r0 = b.
-                p.local(pe).write_slice(0, &prob.local_b(pe));
-            }
-            Arc::new(st)
-        })
-        .collect();
-    let geom = Arc::new(halo_geom(prob));
-    let rhos = Arc::new(Mutex::new(vec![0.0f64; prob.n_pes]));
-
-    let n = prob.n_pes;
+    let run = CpuFreeCg::new(prob, exec, None, AllreduceWs::new);
     let iters = prob.iterations;
-    let prob_c = prob.clone();
-    let states_l = states.clone();
-    let rhos_l = Arc::clone(&rhos);
-    let end = launch_cpu_free(&machine, "cg", 1024, move |pe| {
-        let st = Arc::clone(&states_l[pe]);
-        let world = world.clone();
-        let p = p.clone();
-        let (sig_low, sig_high) = (sig_low.clone(), sig_high.clone());
-        let mut ws = ws.clone();
-        let geom = Arc::clone(&geom);
-        let rhos = Arc::clone(&rhos_l);
-        let hl = halo_len(&prob_c);
-        vec![BlockGroup::new("cg", 108, move |k| {
-            let mut sh = ShmemCtx::new(&world, k);
-            let checker = k.machine().checker();
-            let (nx, layers) = (st.nx, st.layers);
-            let points = (layers * nx) as u64;
-            // rho0 = <r, r>.
-            let mut partial = 0.0;
-            vec_op(k, points, 16, 2, "dot(r,r)", || {
-                partial = dot_local(&st.r, &st.r, nx, layers);
-            });
-            let mut rho = allreduce_scalar(&mut sh, k, &mut ws, partial, ReduceOp::Sum);
-            for it in 1..=iters {
-                if let Some(chk) = &checker {
-                    chk.iteration(pe, it, &k.agent().name(), k.now());
-                }
-                // ① p-halo exchange (device-initiated, flag semaphore).
-                if pe > 0 {
-                    sh.putmem_signal_nbi(
-                        k,
-                        &p,
-                        geom.high_halo_of[pe - 1],
-                        p.local(pe),
-                        geom.first_row,
-                        hl,
-                        &sig_high,
-                        SignalOp::Set,
-                        it,
-                        pe - 1,
-                    );
-                }
-                if pe + 1 < n {
-                    sh.putmem_signal_nbi(
-                        k,
-                        &p,
-                        geom.low_halo,
-                        p.local(pe),
-                        layers * nx,
-                        hl,
-                        &sig_low,
-                        SignalOp::Set,
-                        it,
-                        pe + 1,
-                    );
-                }
-                if pe > 0 {
-                    sh.signal_wait_until(k, &sig_low, Cmp::Ge, it);
-                }
-                if pe + 1 < n {
-                    sh.signal_wait_until(k, &sig_high, Cmp::Ge, it);
-                }
-                // ② q = A p.
-                k.check_read(p.local(pe), 0, (layers + 2) * nx, "matvec p read");
-                k.check_write(&st.q, nx, (layers + 1) * nx, "matvec q write");
-                vec_op(k, points, 16, 9, "matvec", || {
-                    matvec(p.local(pe), &st.q, nx, layers);
-                });
-                // ③ alpha = rho / <p, q>.
-                let mut pq_part = 0.0;
-                vec_op(k, points, 16, 2, "dot(p,q)", || {
-                    pq_part = dot_local(p.local(pe), &st.q, nx, layers);
-                });
-                let pq = allreduce_scalar(&mut sh, k, &mut ws, pq_part, ReduceOp::Sum);
-                let alpha = rho / pq;
-                // ④ x += alpha p; r -= alpha q.
-                vec_op(k, points, 32, 4, "axpy(x,r)", || {
-                    axpy_xr(&st.x, &st.r, p.local(pe), &st.q, alpha, nx, layers);
-                });
-                // ⑤ rho' = <r, r>; beta.
-                let mut rr_part = 0.0;
-                vec_op(k, points, 16, 2, "dot(r,r)", || {
-                    rr_part = dot_local(&st.r, &st.r, nx, layers);
-                });
-                let rho_new = allreduce_scalar(&mut sh, k, &mut ws, rr_part, ReduceOp::Sum);
-                let beta = rho_new / rho;
-                rho = rho_new;
-                // ⑥ p = r + beta p.
-                k.check_write(p.local(pe), nx, (layers + 1) * nx, "update p write");
-                vec_op(k, points, 24, 2, "update p", || {
-                    update_p(p.local(pe), &st.r, beta, nx, layers);
-                });
-            }
-            rhos.lock()[pe] = rho;
-        })]
-    })
-    .expect("cpu-free CG run failed");
-    collect(prob, &machine, &states, end, rhos, ReduceOrder::Doubling)
+    let end = run
+        .launch("cg", "cg", move |k, sh, pe, w| {
+            run_blocking(&mut Blocking, k, sh, pe, iters, w);
+        })
+        .expect("cpu-free CG run failed");
+    run.collect(end)
+}
+
+/// What one checkpoint captures: the four vectors and the scalar rho.
+struct CgSnap {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    q: Vec<f64>,
+    p: Vec<f64>,
+    rho: f64,
+}
+
+/// One PE's CG state — its vectors, halo signals, allreduce workspace and
+/// the running rho — and the one persistent-kernel iteration every CPU-Free
+/// path runs: p-halo exchange → matvec → pq-allreduce → axpy →
+/// rho-allreduce → p-update.
+pub(crate) struct CgPe<'a> {
+    st: &'a PeState,
+    p: &'a SymArray,
+    sig_low: &'a SymSignal,
+    sig_high: &'a SymSignal,
+    ws: &'a mut AllreduceWs,
+    /// The p-halo exchange with each neighbor.
+    halos: Vec<Halo<'a>>,
+    pe: usize,
+    rho: f64,
+    snap: Option<CgSnap>,
+}
+
+impl CgPe<'_> {
+    /// A local vector op (`bytes` and `flops` per point) over the owned rows,
+    /// stretched by any straggler window.
+    fn vec_op(&self, k: &mut KernelCtx<'_>, bytes: u64, flops: u64, label: &str, f: impl FnOnce()) {
+        let points = (self.st.layers * self.st.nx) as u64;
+        let straggle = k.machine().faults().compute_mult(self.pe, k.now());
+        vec_op(k, points, bytes, flops, straggle, label, f);
+    }
+}
+
+impl Recoverable for CgPe<'_> {
+    const LABEL: &'static str = "cgft";
+
+    fn checkpoint_bytes(&self) -> u64 {
+        4 * (self.p.local(self.pe).len() * 8) as u64
+    }
+
+    fn snapshot(&mut self) {
+        let st = self.st;
+        self.snap = Some(CgSnap {
+            x: st.x.to_vec(),
+            r: st.r.to_vec(),
+            q: st.q.to_vec(),
+            p: self.p.local(self.pe).to_vec(),
+            rho: self.rho,
+        });
+    }
+
+    fn restore(&mut self, k: &mut KernelCtx<'_>, k0: u64) {
+        let (st, pe) = (self.st, self.pe);
+        if let Some(s) = &self.snap {
+            st.x.write_slice(0, &s.x);
+            st.r.write_slice(0, &s.r);
+            st.q.write_slice(0, &s.q);
+            self.p.local(pe).write_slice(0, &s.p);
+            self.rho = s.rho;
+        }
+        // Rewind the allreduce epoch to its fault-free value after k0
+        // iterations (rho0 + two calls per iteration) and reset the local
+        // collective and halo flags to exactly that state.
+        let seq0 = 1 + 2 * k0;
+        self.ws.set_seq(seq0);
+        self.ws.reset_local(k, pe, seq0);
+        k.agent_mut()
+            .signal(self.sig_low.flag(pe), SignalOp::Set, k0);
+        k.agent_mut()
+            .signal(self.sig_high.flag(pe), SignalOp::Set, k0);
+    }
+
+    fn scrub(&mut self) {
+        self.st.x.fill(f64::NAN);
+        self.st.r.fill(f64::NAN);
+        self.st.q.fill(f64::NAN);
+        self.p.local(self.pe).fill(f64::NAN);
+    }
+
+    /// rho0 = <r, r>.
+    fn start<D: Driver>(&mut self, k: &mut KernelCtx<'_>, sh: &mut ShmemCtx, d: &mut D) {
+        let st = self.st;
+        let mut partial = 0.0;
+        self.vec_op(k, 16, 2, "dot(r,r)", || {
+            partial = dot_local(&st.r, &st.r, st.nx, st.layers);
+        });
+        self.rho = d
+            .allreduce(sh, k, self.ws, partial, 0)
+            .expect("rho0 allreduce cannot be interrupted");
+    }
+
+    fn iterate<D: Driver>(
+        &mut self,
+        k: &mut KernelCtx<'_>,
+        sh: &mut ShmemCtx,
+        d: &mut D,
+        t: u64,
+    ) -> Result<(), Interrupted> {
+        let (st, p, pe) = (self.st, self.p, self.pe);
+        let (nx, layers) = (st.nx, st.layers);
+        // ① p-halo exchange with living neighbors (device-initiated,
+        // reliable put + flag semaphore).
+        for h in &self.halos {
+            h.put(d, sh, k, p, nx, t);
+        }
+        for h in &self.halos {
+            h.wait(d, sh, k, t)?;
+        }
+        // ② q = A p.
+        k.check_read(p.local(pe), 0, (layers + 2) * nx, "matvec p read");
+        k.check_write(&st.q, nx, (layers + 1) * nx, "matvec q write");
+        self.vec_op(k, 16, 9, "matvec", || {
+            matvec(p.local(pe), &st.q, nx, layers);
+        });
+        // ③ alpha = rho / <p, q>.
+        let mut pq_part = 0.0;
+        self.vec_op(k, 16, 2, "dot(p,q)", || {
+            pq_part = dot_local(p.local(pe), &st.q, nx, layers);
+        });
+        let pq = d.allreduce(sh, k, self.ws, pq_part, t)?;
+        let alpha = self.rho / pq;
+        // ④ x += alpha p; r -= alpha q.
+        self.vec_op(k, 32, 4, "axpy(x,r)", || {
+            axpy_xr(&st.x, &st.r, p.local(pe), &st.q, alpha, nx, layers);
+        });
+        // ⑤ rho' = <r, r>; beta.
+        let mut rr_part = 0.0;
+        self.vec_op(k, 16, 2, "dot(r,r)", || {
+            rr_part = dot_local(&st.r, &st.r, nx, layers);
+        });
+        let rho_new = d.allreduce(sh, k, self.ws, rr_part, t)?;
+        let beta = rho_new / self.rho;
+        self.rho = rho_new;
+        // ⑥ p = r + beta p.
+        k.check_write(p.local(pe), nx, (layers + 1) * nx, "update p write");
+        self.vec_op(k, 24, 2, "update p", || {
+            update_p(p.local(pe), &st.r, beta, nx, layers);
+        });
+        Ok(())
+    }
 }
 
 /// Run distributed CG **CPU-controlled**: discrete kernels per vector op,
@@ -259,7 +408,6 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
         .collect();
     // Host-visible slots for the staged allreduce (one per rank).
     let slots = machine.alloc_host("dot.slots", prob.n_pes);
-    let geom = Arc::new(halo_geom(prob));
     let bar = machine.barrier(prob.n_pes);
     let rhos = Arc::new(Mutex::new(vec![0.0f64; prob.n_pes]));
 
@@ -268,12 +416,10 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
     for pe in 0..n {
         let st = Arc::clone(&states[pe]);
         let p_mine = ps[pe].clone();
-        let p_low = (pe > 0).then(|| ps[pe - 1].clone());
+        let p_low = (pe > 0).then(|| (ps[pe - 1].clone(), high_halo(prob, pe - 1)));
         let p_high = (pe + 1 < n).then(|| ps[pe + 1].clone());
         let slots = slots.clone();
-        let geom = Arc::clone(&geom);
         let rhos = Arc::clone(&rhos);
-        let hl = halo_len(prob);
         let machine_c = machine.clone();
         machine.spawn_host(format!("rank{pe}"), move |host| {
             let dev = DevId(pe);
@@ -303,7 +449,7 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
             {
                 let (st, pd) = (Arc::clone(&st), partial_dev.clone());
                 host.launch(&stream, "dot_rr", move |k| {
-                    vec_op(k, points, 16, 2, "dot(r,r)", || {
+                    vec_op(k, points, 16, 2, 1.0, "dot(r,r)", || {
                         pd.set(0, dot_local(&st.r, &st.r, nx, layers));
                     });
                 });
@@ -311,18 +457,11 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
             let mut rho = host_allreduce!("combine rho0");
             for _it in 1..=iters {
                 // ① host-driven p-halo exchange.
-                if let Some(low) = &p_low {
-                    host.memcpy_async(
-                        &stream,
-                        low,
-                        geom.high_halo_of[pe - 1],
-                        &p_mine,
-                        geom.first_row,
-                        hl,
-                    );
+                if let Some((low, dst)) = &p_low {
+                    host.memcpy_async(&stream, low, *dst, &p_mine, nx, nx);
                 }
                 if let Some(high) = &p_high {
-                    host.memcpy_async(&stream, high, geom.low_halo, &p_mine, layers * nx, hl);
+                    host.memcpy_async(&stream, high, 0, &p_mine, layers * nx, nx);
                 }
                 host.sync_stream(&stream);
                 host.host_barrier(bar, n);
@@ -330,7 +469,7 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
                 {
                     let (st, p) = (Arc::clone(&st), p_mine.clone());
                     host.launch(&stream, "matvec", move |k| {
-                        vec_op(k, points, 16, 9, "matvec", || {
+                        vec_op(k, points, 16, 9, 1.0, "matvec", || {
                             matvec(&p, &st.q, nx, layers);
                         });
                     });
@@ -339,7 +478,7 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
                 {
                     let (st, p, pd) = (Arc::clone(&st), p_mine.clone(), partial_dev.clone());
                     host.launch(&stream, "dot_pq", move |k| {
-                        vec_op(k, points, 16, 2, "dot(p,q)", || {
+                        vec_op(k, points, 16, 2, 1.0, "dot(p,q)", || {
                             pd.set(0, dot_local(&p, &st.q, nx, layers));
                         });
                     });
@@ -350,7 +489,7 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
                 {
                     let (st, p) = (Arc::clone(&st), p_mine.clone());
                     host.launch(&stream, "axpy_xr", move |k| {
-                        vec_op(k, points, 32, 4, "axpy(x,r)", || {
+                        vec_op(k, points, 32, 4, 1.0, "axpy(x,r)", || {
                             axpy_xr(&st.x, &st.r, &p, &st.q, alpha, nx, layers);
                         });
                     });
@@ -359,7 +498,7 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
                 {
                     let (st, pd) = (Arc::clone(&st), partial_dev.clone());
                     host.launch(&stream, "dot_rr", move |k| {
-                        vec_op(k, points, 16, 2, "dot(r,r)", || {
+                        vec_op(k, points, 16, 2, 1.0, "dot(r,r)", || {
                             pd.set(0, dot_local(&st.r, &st.r, nx, layers));
                         });
                     });
@@ -371,7 +510,7 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
                 {
                     let (st, p) = (Arc::clone(&st), p_mine.clone());
                     host.launch(&stream, "update_p", move |k| {
-                        vec_op(k, points, 24, 2, "update p", || {
+                        vec_op(k, points, 24, 2, 1.0, "update p", || {
                             update_p(&p, &st.r, beta, nx, layers);
                         });
                     });
@@ -382,7 +521,7 @@ pub fn run_baseline(prob: &PoissonProblem, exec: ExecMode) -> CgResult {
         });
     }
     let end = machine.run().expect("baseline CG run failed");
-    collect(prob, &machine, &states, end, rhos, ReduceOrder::Linear)
+    collect(prob, &machine, &states, end, &rhos, ReduceOrder::Linear)
 }
 
 pub(crate) fn collect(
@@ -390,19 +529,12 @@ pub(crate) fn collect(
     machine: &Machine,
     states: &[Arc<PeState>],
     end: SimTime,
-    rhos: Arc<Mutex<Vec<f64>>>,
+    rhos: &Mutex<Vec<f64>>,
     order: ReduceOrder,
 ) -> CgResult {
     let total = end.since(SimTime::ZERO);
     let stats = RunStats::from_trace(&machine.trace(), total, prob.iterations);
-    let x_owned = states
-        .iter()
-        .map(|st| {
-            let mut out = vec![0.0; st.layers * st.nx];
-            st.x.read_slice(st.nx, &mut out);
-            out
-        })
-        .collect();
+    let x_owned = x_owned(states);
     let final_rho = rhos.lock()[0];
     CgResult {
         total,
@@ -412,4 +544,16 @@ pub(crate) fn collect(
         order,
         check: machine.checker().map(|c| c.report()),
     }
+}
+
+/// Each PE's owned rows of x.
+pub(crate) fn x_owned(states: &[Arc<PeState>]) -> Vec<Vec<f64>> {
+    states
+        .iter()
+        .map(|st| {
+            let mut out = vec![0.0; st.layers * st.nx];
+            st.x.read_slice(st.nx, &mut out);
+            out
+        })
+        .collect()
 }

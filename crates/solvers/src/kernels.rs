@@ -4,21 +4,10 @@
 use gpu_sim::{Buf, ExecMode, KernelCtx};
 use sim_des::Category;
 
-/// Charge a vector kernel's roofline time and run the math in Full mode.
+/// Charge a vector kernel's roofline time, stretched by `mult` (straggler
+/// windows in fault-injected runs slow the kernel without changing its
+/// output), and run the math in Full mode.
 pub fn vec_op(
-    k: &mut KernelCtx<'_>,
-    points: u64,
-    bytes_per_pt: u64,
-    flops_per_pt: u64,
-    label: &str,
-    f: impl FnOnce(),
-) {
-    vec_op_scaled(k, points, bytes_per_pt, flops_per_pt, 1.0, label, f);
-}
-
-/// [`vec_op`] with the charged time stretched by `mult` — straggler windows
-/// in fault-injected runs slow the kernel without changing its output.
-pub fn vec_op_scaled(
     k: &mut KernelCtx<'_>,
     points: u64,
     bytes_per_pt: u64,

@@ -9,8 +9,10 @@
 //!
 //! * [`cg::run_cpu_free`] — one persistent kernel per PE: device-initiated
 //!   p-halo exchange (flag semaphores), device-side **allreduce**
-//!   (`nvshmem_sim::allreduce_scalar`, recursive doubling) for the two dot
-//!   products per iteration, zero host involvement after launch;
+//!   (`nvshmem_sim::allreduce`, recursive doubling) for the two dot
+//!   products per iteration, zero host involvement after launch — the same
+//!   iteration the fault-tolerant ([`ft`]) and degraded ([`degraded`])
+//!   runners drive;
 //! * [`cg::run_baseline`] — the CPU-controlled shape: five kernel launches
 //!   per iteration, host-staged reductions (device partial → D2H copy →
 //!   host barrier → combine), host-driven halo exchange.

@@ -1,16 +1,19 @@
 //! Degraded-mode CPU-Free Jacobi: instead of rolling back to a checkpoint
 //! (see [`crate::ft`]), the surviving quorum **keeps going** when a PE
 //! crashes or a link dies — the chaos engine's graceful-degradation path.
+//! It runs the fault-tolerant runner's iteration (`ft::JacobiPe`) under the
+//! [`cpufree_core::Quorum`] driver; this module adds the set-up, the final
+//! quorum allreduce and the oracle.
 //!
 //! # Model
 //!
 //! * A [`sim_des::CrashFault`] is a *permanent* death at the start of
-//!   iteration `d`: the PE completed iterations `1..d` and pushed its
-//!   iteration-`d-1` halos, then stops forever. Membership is
-//!   plan-derived ([`gpu_sim::alive_at`] — "oracle membership"): every
-//!   survivor independently computes the same death schedule from the
-//!   shared fault plan, so no failure detector or agreement protocol is
-//!   simulated, and runs stay bit-deterministic.
+//!   iteration `d` ([`FaultPlan::crash_iteration`]): the PE completed
+//!   iterations `1..d` and pushed its iteration-`d-1` halos, then stops
+//!   forever. Membership is plan-derived ([`gpu_sim::alive_at`] — "oracle
+//!   membership"): every survivor independently computes the same death
+//!   schedule from the shared fault plan, so no failure detector or
+//!   agreement protocol is simulated, and runs stay bit-deterministic.
 //! * Survivors **freeze the halo** a dead neighbor last committed: at the
 //!   neighbor's death iteration the newest halo layer is copied into the
 //!   other ping-pong generation, so every later sweep reads the
@@ -32,30 +35,15 @@
 //! Survivor slabs must match it **bit for bit** on every topology preset.
 
 use crate::config::StencilConfig;
-use crate::domain::{compute_phase, Domain};
+use crate::domain::Domain;
+use crate::ft::{FtConfig, JacobiPe};
 use crate::geometry::geometry_of;
-use cpufree_core::launch_cpu_free;
-use gpu_sim::{alive_at, BlockGroup, Buf, ExecMode, FaultPlan, KernelCtx, Place};
-use nvshmem_sim::{allreduce, wait_from, AllreduceWs, Members, ReduceOp, ShmemCtx};
+use cpufree_core::{launch_cpu_free, run_blocking, Driver, Quorum};
+use gpu_sim::{alive_at, BlockGroup, Buf, ExecMode, FaultPlan, Place};
+use nvshmem_sim::{AllreduceWs, ShmemCtx};
 use sim_des::lock::Mutex;
-use sim_des::{Category, Cmp, SignalOp, SimDur, SimError, SimTime};
+use sim_des::{SimDur, SimError, SimTime};
 use std::sync::Arc;
-
-/// Configuration of a degraded-mode run.
-#[derive(Clone)]
-pub struct DegradedConfig {
-    /// The underlying stencil problem.
-    pub base: StencilConfig,
-    /// The deterministic fault schedule (empty plan = fault-free).
-    pub plan: FaultPlan,
-}
-
-impl DegradedConfig {
-    /// Degraded run of `base` under `plan`.
-    pub fn new(base: StencilConfig, plan: FaultPlan) -> DegradedConfig {
-        DegradedConfig { base, plan }
-    }
-}
 
 /// Outcome of a degraded-mode run.
 #[derive(Debug, Clone)]
@@ -87,20 +75,18 @@ pub struct DegradedExecuted {
 /// Crashed PEs drop out permanently; survivors complete all iterations
 /// with frozen halos at the death boundaries and verify against
 /// [`degraded_reference`]. Killed links are rerouted transparently.
-pub fn run_cpu_free_degraded(cfg: &DegradedConfig) -> Result<DegradedExecuted, SimError> {
+pub fn run_cpu_free_degraded(cfg: &FtConfig) -> Result<DegradedExecuted, SimError> {
     let dom = Arc::new(Domain::new(&cfg.base));
     dom.machine.set_fault_plan(cfg.plan.clone());
     let n = cfg.base.n_gpus;
     let iters = cfg.base.iterations;
     let quorum = alive_at(&cfg.plan, n, iters);
     let ws = AllreduceWs::new_ring(&dom.world);
-
-    let retries = Arc::new(Mutex::new(0u64));
+    let driver = Quorum::new(&dom.world);
     let agreed: Arc<Mutex<Vec<Option<f64>>>> = Arc::new(Mutex::new(vec![None; n]));
 
     let dom_l = Arc::clone(&dom);
-    let quorum_l = quorum.clone();
-    let retries_l = Arc::clone(&retries);
+    let driver_l = driver.clone();
     let agreed_l = Arc::clone(&agreed);
     let end = launch_cpu_free(
         &dom.machine.clone(),
@@ -108,32 +94,18 @@ pub fn run_cpu_free_degraded(cfg: &DegradedConfig) -> Result<DegradedExecuted, S
         cfg.base.threads_per_block,
         move |pe| {
             let dom = Arc::clone(&dom_l);
-            let quorum = quorum_l.clone();
+            let mut driver = driver_l.clone();
             let mut ws = ws.clone();
-            let retries = Arc::clone(&retries_l);
             let agreed = Arc::clone(&agreed_l);
             vec![BlockGroup::new("degraded", 1, move |k| {
-                let r = pe_body(k, &dom, pe, n);
-                *retries.lock() += r;
+                let mut sh = ShmemCtx::new(&dom.world, k);
+                let mut w = JacobiPe::new(&dom, pe, "degraded.sweep");
                 // Survivors prove the healed collective: quorum allreduce
                 // of the local field sum, bitwise identical everywhere.
-                if quorum.contains(&pe) {
-                    let mut sh = ShmemCtx::new(&dom.world, k);
+                if run_blocking(&mut driver, k, &mut sh, pe, iters, &mut w) {
                     let value = local_field_sum(&dom, pe);
-                    let mut extra = 0u64;
-                    let sum = allreduce(
-                        &mut sh,
-                        k,
-                        &mut ws,
-                        value,
-                        ReduceOp::Sum,
-                        Members::Quorum(&quorum),
-                        &mut wait_from,
-                        &mut extra,
-                    )
-                    .expect("blocking quorum allreduce");
-                    *retries.lock() += extra;
-                    agreed.lock()[pe] = Some(sum);
+                    let sum = driver.allreduce(&mut sh, k, &mut ws, value, iters);
+                    agreed.lock()[pe] = sum.ok();
                 }
             })]
         },
@@ -160,140 +132,15 @@ pub fn run_cpu_free_degraded(cfg: &DegradedConfig) -> Result<DegradedExecuted, S
             "quorum allreduce diverged on pe{pe}"
         );
     }
-    let dead_pairs = dom.machine.faults().dead_pairs(end);
-    let retries = *retries.lock();
     Ok(DegradedExecuted {
         total,
         quorum,
         max_err,
         checksum,
         agreed: if functional { agreed_result } else { None },
-        retries,
-        dead_pairs,
+        retries: driver.retries(),
+        dead_pairs: dom.machine.faults().dead_pairs(end),
     })
-}
-
-/// One PE's degraded persistent loop; returns its retry count.
-fn pe_body(k: &mut KernelCtx<'_>, dom: &Domain, pe: usize, n: usize) -> u64 {
-    let world = dom.world.clone();
-    let mut sh = ShmemCtx::new(&world, k);
-    let faults = dom.machine.faults();
-    let le = dom.layer_elems();
-    let layers = dom.layers(pe);
-    let w = dom.workload(pe);
-    let iters = dom.cfg.iterations;
-    // Death schedule — mine and my neighbors', derived from the shared
-    // plan (oracle membership).
-    let my_death = faults.crash_iteration(pe).map(|d| d.max(1));
-    let death_low = (pe > 0)
-        .then(|| faults.crash_iteration(pe - 1).map(|d| d.max(1)))
-        .flatten();
-    let death_high = (pe + 1 < n)
-        .then(|| faults.crash_iteration(pe + 1).map(|d| d.max(1)))
-        .flatten();
-    let mut retries = 0u64;
-
-    for t in 1..=iters {
-        // ① Scheduled death: drain in-flight puts (an nbi put reads its
-        // source at delivery time — the final halos must leave intact),
-        // scrub the slab (nobody may read it — the boundary values
-        // survivors need already live in their halos) and stop forever.
-        if my_death == Some(t) {
-            sh.quiet(k);
-            if k.exec_mode() == ExecMode::Full {
-                dom.gen[0].local(pe).fill(f64::NAN);
-                dom.gen[1].local(pe).fill(f64::NAN);
-            }
-            k.busy(Category::Api, "degraded.die", sim_des::us(1.0));
-            return retries;
-        }
-
-        // ② Halo waits, clamped at a dead neighbor's last commit. The
-        // `from` identity keeps any hang attributable to a wait-for edge.
-        if pe > 0 {
-            let target = death_low.map_or(t - 1, |d| (t - 1).min(d - 1));
-            sh.signal_wait_from(k, &dom.sig_from_low, Cmp::Ge, target, pe - 1);
-        }
-        if pe + 1 < n {
-            let target = death_high.map_or(t - 1, |d| (t - 1).min(d - 1));
-            sh.signal_wait_from(k, &dom.sig_from_high, Cmp::Ge, target, pe + 1);
-        }
-
-        // ③ Freeze a dying neighbor's halo: at its death iteration the
-        // newest halo (generation d-1, just waited for in this iteration's
-        // read generation) is copied into the other generation, so both
-        // ping-pong halves carry the final boundary forever after.
-        if k.exec_mode() == ExecMode::Full {
-            if death_low == Some(t) {
-                let mut row = vec![0.0; le];
-                dom.read_gen(t)
-                    .local(pe)
-                    .read_slice(dom.low_halo_off(), &mut row);
-                dom.write_gen(t)
-                    .local(pe)
-                    .write_slice(dom.low_halo_off(), &row);
-            }
-            if death_high == Some(t) {
-                let mut row = vec![0.0; le];
-                dom.read_gen(t)
-                    .local(pe)
-                    .read_slice(dom.high_halo_off(pe), &mut row);
-                dom.write_gen(t)
-                    .local(pe)
-                    .write_slice(dom.high_halo_off(pe), &row);
-            }
-        }
-
-        // ④ One full sweep, stretched by straggler windows.
-        let straggle = faults.compute_mult(pe, k.now());
-        let geo = Arc::clone(&dom.geo);
-        let read = dom.read_gen(t).local(pe).clone();
-        let write = dom.write_gen(t).local(pe).clone();
-        compute_phase(
-            k,
-            &w,
-            w.total_points(),
-            1.0,
-            1.0,
-            straggle,
-            "degraded.sweep",
-            || geo.sweep(&read, &write, (1, layers)),
-        );
-
-        // ⑤ Commit boundary layers to *living* neighbors' halos, reliably.
-        // (Transfers over a killed link reroute inside the transport.)
-        let wg = dom.write_gen(t);
-        if pe > 0 && death_low.is_none_or(|d| t < d) {
-            retries += (sh.putmem_signal_reliable(
-                k,
-                wg,
-                dom.high_halo_off(pe - 1),
-                wg.local(pe),
-                dom.first_layer_off(),
-                le,
-                &dom.sig_from_high,
-                SignalOp::Set,
-                t,
-                pe - 1,
-            ) - 1) as u64;
-        }
-        if pe + 1 < n && death_high.is_none_or(|d| t < d) {
-            retries += (sh.putmem_signal_reliable(
-                k,
-                wg,
-                dom.low_halo_off(),
-                wg.local(pe),
-                dom.last_layer_off(pe),
-                le,
-                &dom.sig_from_low,
-                SignalOp::Set,
-                t,
-                pe + 1,
-            ) - 1) as u64;
-        }
-        k.grid_sync();
-    }
-    retries
 }
 
 /// Deterministic sum of `pe`'s owned interior (ascending element order) —
@@ -302,10 +149,7 @@ fn local_field_sum(dom: &Domain, pe: usize) -> f64 {
     if dom.cfg.exec != ExecMode::Full || dom.cfg.no_compute {
         return 0.0;
     }
-    let le = dom.layer_elems();
-    let mut owned = vec![0.0; dom.layers(pe) * le];
-    dom.final_gen().local(pe).read_slice(le, &mut owned);
-    owned.iter().fold(0.0, |acc, v| acc + v)
+    dom.owned(pe).iter().fold(0.0, |acc, v| acc + v)
 }
 
 /// The sequential oracle for degraded runs: a full-grid ping-pong sweep in
@@ -339,12 +183,9 @@ fn verify_degraded(dom: &Domain, plan: &FaultPlan, quorum: &[usize]) -> f64 {
     let le = dom.layer_elems();
     let mut max = 0.0f64;
     for &pe in quorum {
-        let layers = dom.layers(pe);
         let start = dom.slab.start(pe);
-        let mut owned = vec![0.0; layers * le];
-        dom.final_gen().local(pe).read_slice(le, &mut owned);
-        let want = &reference[(start + 1) * le..(start + 1 + layers) * le];
-        for (got, want) in owned.iter().zip(want) {
+        let want = &reference[(start + 1) * le..(start + 1 + dom.layers(pe)) * le];
+        for (got, want) in dom.owned(pe).iter().zip(want) {
             max = max.max((got - want).abs());
         }
     }
@@ -363,7 +204,7 @@ mod tests {
 
     #[test]
     fn fault_free_degraded_matches_plain_reference() {
-        let cfg = DegradedConfig::new(base(TopologyKind::NvlinkAllToAll), FaultPlan::new());
+        let cfg = FtConfig::new(base(TopologyKind::NvlinkAllToAll), FaultPlan::new());
         let out = run_cpu_free_degraded(&cfg).unwrap();
         assert_eq!(out.quorum, vec![0, 1, 2, 3]);
         assert_eq!(out.max_err, Some(0.0));
@@ -384,7 +225,7 @@ mod tests {
         });
         let mut checksums = Vec::new();
         for kind in TopologyKind::presets() {
-            let cfg = DegradedConfig::new(base(kind), plan.clone());
+            let cfg = FtConfig::new(base(kind), plan.clone());
             let out = run_cpu_free_degraded(&cfg).unwrap();
             assert_eq!(out.quorum, vec![0, 1, 3], "{}", kind.name());
             assert_eq!(out.max_err, Some(0.0), "{}", kind.name());
@@ -399,14 +240,14 @@ mod tests {
     fn single_link_kill_is_bit_identical_to_fault_free() {
         for kind in TopologyKind::presets() {
             let clean =
-                run_cpu_free_degraded(&DegradedConfig::new(base(kind), FaultPlan::new())).unwrap();
+                run_cpu_free_degraded(&FtConfig::new(base(kind), FaultPlan::new())).unwrap();
             // Kill the link between the two middle neighbors mid-run.
             let plan = FaultPlan::new().with_link(LinkFault::kill(
                 1,
                 2,
                 SimTime::ZERO + sim_des::us(10.0),
             ));
-            let out = run_cpu_free_degraded(&DegradedConfig::new(base(kind), plan)).unwrap();
+            let out = run_cpu_free_degraded(&FtConfig::new(base(kind), plan)).unwrap();
             assert_eq!(out.quorum, vec![0, 1, 2, 3], "{}", kind.name());
             assert_eq!(out.max_err, Some(0.0), "{}", kind.name());
             assert_eq!(out.checksum, clean.checksum, "{}", kind.name());
@@ -429,7 +270,7 @@ mod tests {
                 until: SimTime(u64::MAX),
                 compute_mult: 3.0,
             });
-        let cfg = DegradedConfig::new(base(TopologyKind::PcieTree), plan);
+        let cfg = FtConfig::new(base(TopologyKind::PcieTree), plan);
         let out = run_cpu_free_degraded(&cfg).unwrap();
         assert_eq!(out.quorum, vec![1, 2, 3]);
         assert_eq!(out.max_err, Some(0.0));
@@ -442,7 +283,7 @@ mod tests {
             at_iteration: 2,
         });
         let run = || {
-            let cfg = DegradedConfig::new(base(TopologyKind::NvlinkRing), plan.clone());
+            let cfg = FtConfig::new(base(TopologyKind::NvlinkRing), plan.clone());
             let out = run_cpu_free_degraded(&cfg).unwrap();
             (out.total, out.checksum, out.agreed.map(f64::to_bits))
         };

@@ -145,17 +145,17 @@ impl Domain {
         &self.gen[(self.cfg.iterations % 2) as usize]
     }
 
+    /// `pe`'s owned interior layers in the final generation.
+    pub fn owned(&self, pe: usize) -> Vec<f64> {
+        let le = self.layer_elems();
+        let mut out = vec![0.0; self.layers(pe) * le];
+        self.final_gen().local(pe).read_slice(le, &mut out);
+        out
+    }
+
     /// Extract each PE's owned interior layers from the final generation.
     pub fn extract_owned(&self) -> Vec<Vec<f64>> {
-        let le = self.layer_elems();
-        (0..self.cfg.n_gpus)
-            .map(|pe| {
-                let layers = self.layers(pe);
-                let mut out = vec![0.0; layers * le];
-                self.final_gen().local(pe).read_slice(le, &mut out);
-                out
-            })
-            .collect()
+        (0..self.cfg.n_gpus).map(|pe| self.owned(pe)).collect()
     }
 
     /// Assemble the full global grid from owned regions + fixed boundary.

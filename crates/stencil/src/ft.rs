@@ -1,17 +1,23 @@
-//! Fault-tolerant CPU-Free Jacobi: the persistent kernel of
-//! `variants::cpufree` run under the [`cpufree_core::Rollback`]
-//! checkpoint/restart driver, with retrying puts and interruptible halo
-//! waits — all driven by a deterministic [`FaultPlan`].
+//! Fault-tolerant CPU-Free Jacobi, and the one-group iteration
+//! (`JacobiPe`) every fault run of Jacobi shares: this module's
+//! checkpoint/restart runner drives it under [`cpufree_core::Rollback`],
+//! [`crate::degraded`] under [`cpufree_core::Quorum`] — all driven by a
+//! deterministic [`FaultPlan`].
 //!
 //! One block group per PE runs the whole sweep (boundary + inner in one
-//! pass — bitwise identical to the split-group variant, since every written
-//! point depends only on the read generation). Each iteration's body:
+//! pass — bitwise identical to the split-group `variants::cpufree`, since
+//! every written point depends only on the read generation). Each
+//! iteration:
 //!
-//! 1. **Halo waits** — deadline-sliced ([`FtCtx::wait`]) so a waiting PE
-//!    joins an announced rollback; a lost signal can never hang the PE.
-//! 2. **Sweep** — compute time is stretched by any active straggler window.
-//! 3. **Halo puts** — [`ShmemCtx::putmem_signal_reliable`] retries dropped
-//!    deliveries with exponential backoff.
+//! 1. **Halo waits** through the driver — deadline-sliced under rollback,
+//!    so a waiting PE joins an announced rollback and a lost signal can
+//!    never hang it; clamped at a dead neighbor's last push in degraded
+//!    mode.
+//! 2. **Freeze** a neighbor's halo at its death iteration (degraded mode).
+//! 3. **Sweep** — compute time is stretched by any active straggler window.
+//! 4. **Halo puts** to living neighbors —
+//!    [`ShmemCtx::putmem_signal_reliable`] retries dropped deliveries with
+//!    exponential backoff.
 //!
 //! A checkpoint snapshots **both** ping-pong generations: restoring both
 //! reproduces the exact byte state at the top of iteration `k0 + 1`, and
@@ -21,8 +27,8 @@
 
 use crate::config::StencilConfig;
 use crate::domain::{compute_phase, Domain, Executed};
-use cpufree_core::{launch_cpu_free, FtCtx, Interrupted, Recoverable, Rollback};
-use gpu_sim::{BlockGroup, FaultPlan, KernelCtx};
+use cpufree_core::{launch_cpu_free, Driver, Halo, Interrupted, Recoverable, Rollback};
+use gpu_sim::{BlockGroup, ExecMode, FaultPlan, KernelCtx};
 use nvshmem_sim::ShmemCtx;
 use sim_des::{SignalOp, SimError};
 use std::sync::Arc;
@@ -79,11 +85,7 @@ pub fn run_cpu_free_ft(cfg: &FtConfig) -> Result<FtExecuted, SimError> {
             vec![BlockGroup::new("ft", 1, move |k| {
                 let mut sh = ShmemCtx::new(&dom.world, k);
                 let iterations = dom.cfg.iterations;
-                let mut w = JacobiPe {
-                    dom: &dom,
-                    pe,
-                    snap: None,
-                };
+                let mut w = JacobiPe::new(&dom, pe, "ft.sweep");
                 rollback.run_pe(k, &mut sh, pe, iterations, &mut w);
             })]
         },
@@ -99,11 +101,42 @@ pub fn run_cpu_free_ft(cfg: &FtConfig) -> Result<FtExecuted, SimError> {
     })
 }
 
-/// One PE's Jacobi state: its slab of both generations.
-struct JacobiPe<'a> {
+/// One PE's Jacobi state: its slab of both generations. The one-group
+/// persistent-kernel iteration of the fault-tolerant and degraded runs.
+pub(crate) struct JacobiPe<'a> {
     dom: &'a Domain,
     pe: usize,
+    /// Span label of the sweep (`"ft.sweep"`, `"degraded.sweep"`).
+    sweep: &'static str,
+    /// The boundary-layer exchange with each neighbor.
+    halos: Vec<Halo<'a>>,
     snap: Option<(Vec<f64>, Vec<f64>)>,
+}
+
+impl<'a> JacobiPe<'a> {
+    pub(crate) fn new(dom: &'a Domain, pe: usize, sweep: &'static str) -> JacobiPe<'a> {
+        let low = (pe > 0).then(|| Halo {
+            nb: pe - 1,
+            dst: dom.high_halo_off(pe - 1),
+            src: dom.first_layer_off(),
+            sig_there: &dom.sig_from_high,
+            sig_here: &dom.sig_from_low,
+        });
+        let high = (pe + 1 < dom.cfg.n_gpus).then(|| Halo {
+            nb: pe + 1,
+            dst: dom.low_halo_off(),
+            src: dom.last_layer_off(pe),
+            sig_there: &dom.sig_from_low,
+            sig_here: &dom.sig_from_high,
+        });
+        JacobiPe {
+            dom,
+            pe,
+            sweep,
+            halos: low.into_iter().chain(high).collect(),
+            snap: None,
+        }
+    }
 }
 
 impl Recoverable for JacobiPe<'_> {
@@ -142,24 +175,37 @@ impl Recoverable for JacobiPe<'_> {
         self.dom.gen[1].local(self.pe).fill(f64::NAN);
     }
 
-    fn iterate(
+    fn iterate<D: Driver>(
         &mut self,
         k: &mut KernelCtx<'_>,
         sh: &mut ShmemCtx,
-        ft: &mut FtCtx<'_>,
+        d: &mut D,
         t: u64,
     ) -> Result<(), Interrupted> {
         let (dom, pe) = (self.dom, self.pe);
-        let n = dom.cfg.n_gpus;
-        // ① Halo waits, deadline-sliced so lost signals cannot hang us.
-        if pe > 0 {
-            ft.wait(sh, k, &dom.sig_from_low, t - 1)?;
-        }
-        if pe + 1 < n {
-            ft.wait(sh, k, &dom.sig_from_high, t - 1)?;
+        // ① Halo waits for the neighbors' iteration t-1 layers.
+        for h in &self.halos {
+            h.wait(d, sh, k, t - 1)?;
         }
 
-        // ② One full sweep (boundary + inner at once — same numerics as
+        // ② Freeze a dying neighbor's halo: at its death iteration the
+        // newest halo (generation d-1, just waited for in this iteration's
+        // read generation) is copied into the other generation, so both
+        // ping-pong halves carry the final boundary forever after.
+        if k.exec_mode() == ExecMode::Full {
+            for h in self.halos.iter().filter(|h| d.death(h.nb) == Some(t)) {
+                let halo = if h.nb < pe {
+                    dom.low_halo_off()
+                } else {
+                    dom.high_halo_off(pe)
+                };
+                let mut row = vec![0.0; dom.layer_elems()];
+                dom.read_gen(t).local(pe).read_slice(halo, &mut row);
+                dom.write_gen(t).local(pe).write_slice(halo, &row);
+            }
+        }
+
+        // ③ One full sweep (boundary + inner at once — same numerics as
         // the split-group kernel), stretched by straggler windows.
         let w = dom.workload(pe);
         let straggle = dom.machine.faults().compute_mult(pe, k.now());
@@ -174,42 +220,50 @@ impl Recoverable for JacobiPe<'_> {
             1.0,
             1.0,
             straggle,
-            "ft.sweep",
+            self.sweep,
             || geo.sweep(&read, &write, (1, layers)),
         );
 
-        // ③ Commit boundary layers to the neighbors' halos, reliably.
-        let wg = dom.write_gen(t);
-        let le = dom.layer_elems();
-        if pe > 0 {
-            ft.count_attempts(sh.putmem_signal_reliable(
-                k,
-                wg,
-                dom.high_halo_off(pe - 1),
-                wg.local(pe),
-                dom.first_layer_off(),
-                le,
-                &dom.sig_from_high,
-                SignalOp::Set,
-                t,
-                pe - 1,
-            ));
-        }
-        if pe + 1 < n {
-            ft.count_attempts(sh.putmem_signal_reliable(
-                k,
-                wg,
-                dom.low_halo_off(),
-                wg.local(pe),
-                dom.last_layer_off(pe),
-                le,
-                &dom.sig_from_low,
-                SignalOp::Set,
-                t,
-                pe + 1,
-            ));
+        // ④ Commit boundary layers to living neighbors' halos (transfers
+        // over a killed link reroute inside the transport).
+        for h in &self.halos {
+            h.put(d, sh, k, dom.write_gen(t), dom.layer_elems(), t);
         }
         k.grid_sync();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::degraded::run_cpu_free_degraded;
+    use sim_des::CrashFault;
+
+    #[test]
+    fn crash_at_iteration_zero_hits_the_first_iteration() {
+        let base = StencilConfig::square2d(32, 8, 4);
+        let crash = |at_iteration| {
+            FtConfig::new(
+                base.clone(),
+                FaultPlan::new().with_crash(CrashFault {
+                    node: 1,
+                    at_iteration,
+                }),
+            )
+        };
+        let clean = run_cpu_free_ft(&FtConfig::new(base.clone(), FaultPlan::new())).unwrap();
+        let (at0, at1) = (crash(0), crash(1));
+        let ft = run_cpu_free_ft(&at0).unwrap();
+        assert_eq!(ft.rollbacks, 1);
+        assert_eq!(ft.exec.checksum, clean.exec.checksum);
+        assert_eq!(ft.exec.total, run_cpu_free_ft(&at1).unwrap().exec.total);
+        let degraded = run_cpu_free_degraded(&at0).unwrap();
+        assert_eq!(degraded.quorum, vec![0, 2, 3]);
+        assert_eq!(degraded.max_err, Some(0.0));
+        assert_eq!(
+            degraded.checksum,
+            run_cpu_free_degraded(&at1).unwrap().checksum
+        );
     }
 }

@@ -29,7 +29,7 @@ pub mod grid2d;
 pub mod variants;
 
 pub use config::{Slab, StencilConfig, Workload};
-pub use degraded::{degraded_reference, run_cpu_free_degraded, DegradedConfig, DegradedExecuted};
+pub use degraded::{degraded_reference, run_cpu_free_degraded, DegradedExecuted};
 pub use domain::{Domain, Executed};
 pub use ft::{run_cpu_free_ft, FtConfig, FtExecuted};
 pub use geometry::{Geo2D, Geo3D, Geometry};

@@ -7,9 +7,9 @@
 //! so the cells fan out on the [`sim_des::par_map`] pool; assertions run
 //! serially afterwards in deterministic cell order.
 
-use cpufree_solvers::{run_baseline, run_cpu_free, PoissonProblem};
-use gpu_sim::{ExecMode, TopologyKind};
-use stencil_lab::{StencilConfig, Variant};
+use cpufree_solvers::{run_baseline, run_cpu_free, run_cpu_free_ft, CgFtConfig, PoissonProblem};
+use gpu_sim::{ExecMode, FaultPlan, TopologyKind};
+use stencil_lab::{run_cpu_free_degraded, FtConfig, StencilConfig, Variant};
 
 const SEEDS: [Option<u64>; 4] = [None, Some(3), Some(11), Some(0xFEED)];
 
@@ -28,11 +28,14 @@ fn cells() -> Vec<(TopologyKind, Option<u64>)> {
 }
 
 /// What one stencil cell produced: the CPU-Free result plus every
-/// baseline's, in [`BASELINES`] order.
+/// baseline's, in [`BASELINES`] order, and the fault-free fault-tolerant
+/// and degraded runners' checksums.
 struct StencilCell {
     free_checksum: u64,
     free_max_err: Option<f64>,
     baselines: Vec<(u64, Option<f64>)>,
+    ft_checksum: u64,
+    degraded_checksum: u64,
 }
 
 #[test]
@@ -54,10 +57,15 @@ fn cpu_free_matches_every_baseline_on_every_topology() {
                     (out.checksum, out.max_err)
                 })
                 .collect();
+            let clean = FtConfig::new(cfg, FaultPlan::new());
+            let ft = stencil_lab::run_cpu_free_ft(&clean).unwrap();
+            let degraded = run_cpu_free_degraded(&clean).unwrap();
             StencilCell {
                 free_checksum: free.checksum,
                 free_max_err: free.max_err,
                 baselines,
+                ft_checksum: ft.exec.checksum,
+                degraded_checksum: degraded.checksum,
             }
         },
     );
@@ -75,6 +83,14 @@ fn cpu_free_matches_every_baseline_on_every_topology() {
             cell.free_checksum,
             reference,
             "CpuFree checksum drifted on {} seed {seed:?}",
+            topology.name()
+        );
+        // The one-group fault runners sweep the same field as the
+        // three-group CPU-Free kernel.
+        assert_eq!(
+            (cell.ft_checksum, cell.degraded_checksum),
+            (cell.free_checksum, cell.free_checksum),
+            "fault-free FT / degraded Jacobi differ from CpuFree on {} seed {seed:?}",
             topology.name()
         );
         for (baseline, &(checksum, max_err)) in BASELINES.iter().zip(&cell.baselines) {
@@ -100,7 +116,8 @@ fn cpu_free_matches_every_baseline_on_every_topology() {
 /// allreduce) and the CPU-controlled baseline (host-staged linear combine)
 /// intentionally use different reduction orders, so each is compared
 /// bitwise against its own order-matched sequential reference instead of
-/// against each other.
+/// against each other. The fault-free fault-tolerant run shares the
+/// CPU-Free schedule and must match it bit for bit.
 #[test]
 fn cg_variants_match_order_matched_reference_everywhere() {
     let cases = cells();
@@ -114,10 +131,20 @@ fn cg_variants_match_order_matched_reference_everywhere() {
             }
             let free = run_cpu_free(&prob, ExecMode::Full);
             let base = run_baseline(&prob, ExecMode::Full);
-            (free.verify(&prob), base.verify(&prob))
+            let ft = run_cpu_free_ft(
+                &CgFtConfig::new(prob.clone(), FaultPlan::new()),
+                ExecMode::Full,
+            )
+            .unwrap()
+            .result;
+            let bits =
+                |x: &[Vec<f64>]| -> Vec<u64> { x.iter().flatten().map(|v| v.to_bits()).collect() };
+            let ft_identical = ft.final_rho.to_bits() == free.final_rho.to_bits()
+                && bits(&ft.x_owned) == bits(&free.x_owned);
+            (free.verify(&prob), base.verify(&prob), ft_identical)
         },
     );
-    for (&(topology, seed), &(free_err, base_err)) in cases.iter().zip(&results) {
+    for (&(topology, seed), &(free_err, base_err, ft_identical)) in cases.iter().zip(&results) {
         assert_eq!(
             free_err,
             0.0,
@@ -128,6 +155,11 @@ fn cg_variants_match_order_matched_reference_everywhere() {
             base_err,
             0.0,
             "baseline CG wrong on {} seed {seed:?}",
+            topology.name()
+        );
+        assert!(
+            ft_identical,
+            "fault-free FT CG differs from CPU-Free CG on {} seed {seed:?}",
             topology.name()
         );
     }
