@@ -174,18 +174,6 @@ impl Machine {
         self.inner.transport.topology()
     }
 
-    /// Device-to-shard plan for intra-run parallel simulation of this
-    /// node's topology (see `Topology::partition_hints`).
-    pub fn partition_hints(&self, shards: usize) -> Vec<usize> {
-        self.inner.transport.partition_hints(shards)
-    }
-
-    /// Conservative cross-shard lookahead for `plan` under this node's
-    /// cost model (see `Transport::shard_lookahead`).
-    pub fn shard_lookahead(&self, plan: &[usize]) -> sim_des::SimDur {
-        self.inner.transport.shard_lookahead(plan)
-    }
-
     /// The device architecture.
     pub fn spec(&self) -> &DeviceSpec {
         &self.inner.spec

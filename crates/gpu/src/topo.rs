@@ -709,24 +709,6 @@ impl Topology {
         self.dev_routes[src][dst].len()
     }
 
-    /// Assign each device to one of `shards` partitions for intra-run
-    /// parallel simulation: contiguous chunks of [`Topology::ring_order`],
-    /// so ring neighbors stay co-located and only chunk-boundary traffic
-    /// crosses shards. `plan[dev]` is the shard of device `dev`.
-    ///
-    /// The plan depends only on the topology and the shard count — never
-    /// on wall-clock state — so a given `(topology, shards)` pair always
-    /// partitions identically.
-    pub fn partition_hints(&self, shards: usize) -> Vec<usize> {
-        assert!(shards >= 1, "need at least one shard");
-        let n = self.n_devices;
-        let mut plan = vec![0usize; n];
-        for (pos, &dev) in self.ring.iter().enumerate() {
-            plan[dev] = (pos * shards / n).min(shards - 1);
-        }
-        plan
-    }
-
     /// Virtual-time forwarding latency of the base `src -> dst` route: the
     /// sum of per-hop latencies after the first hop (the first hop of a
     /// route is charged no `hop_latency`, matching the transfer cost
@@ -737,34 +719,6 @@ impl Topology {
             .skip(1)
             .map(|&idx| self.links[idx].hop_latency)
             .sum()
-    }
-
-    /// Conservative lookahead for a partition `plan`: the smallest
-    /// virtual-time cost of any cross-shard device interaction, computed
-    /// as `base` (software send overhead, always paid) plus the minimum
-    /// route-forwarding latency over all cross-shard pairs. When no pair
-    /// crosses shards (one shard, or a single device) the base alone is
-    /// returned.
-    ///
-    /// Any cross-shard message modeled on this topology takes at least
-    /// this long, so a sharded engine windowed on it never delivers into
-    /// the past ([`sim_des::ShardedEngine`] asserts exactly that).
-    pub fn partition_lookahead(&self, plan: &[usize], base: SimDur) -> SimDur {
-        assert_eq!(plan.len(), self.n_devices, "plan covers every device");
-        let mut min_cross: Option<SimDur> = None;
-        for src in 0..self.n_devices {
-            for dst in 0..self.n_devices {
-                if src == dst || plan[src] == plan[dst] {
-                    continue;
-                }
-                let fwd = self.route_forward_latency(src, dst);
-                min_cross = Some(match min_cross {
-                    Some(m) if m <= fwd => m,
-                    _ => fwd,
-                });
-            }
-        }
-        base + min_cross.unwrap_or(SimDur::ZERO)
     }
 
     /// PEs ordered by route distance from `root` (root first, ties by
@@ -968,21 +922,6 @@ impl Transport {
     /// The cost calibration (fixed latencies, compute roofline).
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// Partition the devices into `shards` regions for intra-run parallel
-    /// simulation (see [`Topology::partition_hints`]).
-    pub fn partition_hints(&self, shards: usize) -> Vec<usize> {
-        self.topo.partition_hints(shards)
-    }
-
-    /// Conservative lookahead for `plan` under this transport's cost
-    /// model: the signal software overhead (always paid by a cross-device
-    /// signal delivery) plus the minimum cross-shard route-forwarding
-    /// latency (see [`Topology::partition_lookahead`]).
-    pub fn shard_lookahead(&self, plan: &[usize]) -> SimDur {
-        self.topo
-            .partition_lookahead(plan, self.cost.shmem_signal())
     }
 
     /// Wire time of moving `bytes` from `src` to `dst` starting at `now`,
@@ -1485,30 +1424,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_hints_are_contiguous_ring_chunks() {
-        for kind in TopologyKind::presets() {
-            let t = transport(kind, 8);
-            let topo = t.topology();
-            for shards in [1, 2, 4, 8] {
-                let plan = topo.partition_hints(shards);
-                assert_eq!(plan.len(), 8);
-                // Walking the ring order, shard ids are non-decreasing:
-                // chunks are contiguous in ring position.
-                let along_ring: Vec<usize> = topo.ring_order().iter().map(|&d| plan[d]).collect();
-                assert!(
-                    along_ring.windows(2).all(|w| w[0] <= w[1]),
-                    "{kind:?} shards={shards}: non-contiguous plan {along_ring:?}"
-                );
-                assert!(plan.iter().all(|&s| s < shards));
-                // Every shard gets at least one device when shards <= n.
-                for s in 0..shards {
-                    assert!(plan.contains(&s), "{kind:?}: shard {s} empty");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn forward_latency_skips_the_first_hop() {
         // All-to-all: every device pair is one direct link — no forwarding.
         let aa = transport(TopologyKind::NvlinkAllToAll, 8);
@@ -1536,25 +1451,6 @@ mod tests {
         }
         assert!(multi > 0, "pcie tree should have multi-hop routes");
         let _ = zero;
-    }
-
-    #[test]
-    fn shard_lookahead_is_positive_and_monotone_in_base() {
-        for kind in TopologyKind::presets() {
-            let t = transport(kind, 8);
-            let c = CostModel::a100_hgx();
-            for shards in [1, 2, 4] {
-                let plan = t.partition_hints(shards);
-                let look = t.shard_lookahead(&plan);
-                assert!(
-                    look >= c.shmem_signal() && !look.is_zero(),
-                    "{kind:?} shards={shards}: lookahead {look} below base"
-                );
-            }
-            // One shard has no cross pairs: lookahead is exactly the base.
-            let single = t.partition_hints(1);
-            assert_eq!(t.shard_lookahead(&single), c.shmem_signal());
-        }
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! fault-stretched reordering pressure, and Jacobi + CG numerics must be
 //! bit-identical; only virtual time may differ. The preset list itself is
 //! locked by [`preset_list_is_locked_by_the_conformance_harness`], so a
-//! new preset that skips this harness fails loudly. (Bit-identical
-//! sharded reports at shards {1,2,4,8} are asserted by
-//! `crates/bench/tests/shard_identity.rs` over the same preset list.)
+//! new preset that skips this harness fails loudly.
 
 use cpufree_solvers::{run_cpu_free, PoissonProblem};
 use gpu_sim::{CostModel, ExecMode, Topology, TopologyKind, Transport};
@@ -32,7 +30,7 @@ fn preset_list_is_locked_by_the_conformance_harness() {
             "rail-optimized-8x8r4",
         ],
         "the preset list changed: extend the conformance harness (route \
-         symmetry, FIFO delivery, shard identity, Jacobi/CG checksums, \
+         symmetry, FIFO delivery, Jacobi/CG checksums, \
          chaos degraded cases) for the new preset, then update this list"
     );
 }
