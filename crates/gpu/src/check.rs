@@ -59,11 +59,11 @@ impl fmt::Display for CheckReport {
 ///
 /// Obtained from [`Machine::checker`](crate::Machine::checker) after
 /// enabling with [`Machine::with_checker`](crate::Machine::with_checker).
-/// All methods are safe to call from any agent thread.
+/// All methods are safe to call from any agent.
 pub struct Checker {
     hb: Arc<HbTracker>,
     /// `Buf` allocation identity -> stable location id (first-seen order).
-    locs: Mutex<HashMap<usize, u64>>,
+    locs: Mutex<HashMap<u64, u64>>,
 }
 
 impl Checker {

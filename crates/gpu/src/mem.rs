@@ -8,6 +8,7 @@
 
 use sim_des::lock::Mutex;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies a device within one machine.
@@ -47,6 +48,8 @@ impl Place {
 }
 
 struct BufInner {
+    /// Process-unique allocation number (see [`Buf::raw_key`]).
+    id: u64,
     place: Place,
     name: String,
     /// Element count (authoritative — `data` may be empty for virtual bufs).
@@ -83,25 +86,24 @@ impl fmt::Debug for Buf {
 impl Buf {
     /// Allocate a zero-initialized buffer.
     pub fn new(place: Place, name: impl Into<String>, len: usize) -> Buf {
-        Buf {
-            inner: Arc::new(BufInner {
-                place,
-                name: name.into(),
-                len,
-                data: Some(Mutex::new(vec![0.0; len])),
-            }),
-        }
+        Buf::with_data(place, name.into(), len, Some(Mutex::new(vec![0.0; len])))
     }
 
     /// Allocate a *virtual* buffer: correct length and place for cost
     /// accounting, no backing storage, all functional accesses no-ops.
     pub fn new_virtual(place: Place, name: impl Into<String>, len: usize) -> Buf {
+        Buf::with_data(place, name.into(), len, None)
+    }
+
+    fn with_data(place: Place, name: String, len: usize, data: Option<Mutex<Vec<f64>>>) -> Buf {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Buf {
             inner: Arc::new(BufInner {
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 place,
-                name: name.into(),
+                name,
                 len,
-                data: None,
+                data,
             }),
         }
     }
@@ -276,11 +278,11 @@ impl Buf {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Allocation identity as an opaque key (stable for the buffer's
-    /// lifetime; equal iff [`Buf::same_alloc`]). Used by the checker to
-    /// key race-detection locations.
-    pub fn raw_key(&self) -> usize {
-        Arc::as_ptr(&self.inner) as usize
+    /// Allocation identity as an opaque key: equal iff [`Buf::same_alloc`],
+    /// and never reused by a later allocation, even at the same address.
+    /// Used by the checker to key race-detection locations.
+    pub fn raw_key(&self) -> u64 {
+        self.inner.id
     }
 }
 
