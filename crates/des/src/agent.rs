@@ -2,10 +2,10 @@
 
 use crate::engine::SimError;
 use crate::engine::{
-    dispatch, spawn_agent, AbortSim, BlockedInfo, Request, Shared, ShutdownUnwind, Turn,
+    dispatch, spawn_agent, switch_to, AbortSim, BlockedInfo, Request, Shared, ShutdownUnwind,
 };
 use crate::intern::{Label, Sym};
-use crate::lock::Condvar;
+use crate::stack::Context;
 use crate::sync::{Barrier, Cmp, Flag, SignalOp};
 use crate::time::{SimDur, SimTime};
 use crate::trace::{Category, TraceSpan};
@@ -29,10 +29,12 @@ pub struct WaitTimedOut {
 
 /// Handle through which an agent interacts with virtual time and its peers.
 ///
-/// Methods that *block* (`advance`, `wait_flag`, `barrier`, `yield_now`) run
-/// the scheduler on this agent's thread until the next resume, passing the
-/// execution token on if that resume is another agent's; everything else
-/// is immediate and charges no virtual time.
+/// Every agent runs on a stack of its own, on the thread that called
+/// [`Engine::run`](crate::Engine::run). Methods that *block* (`advance`,
+/// `wait_flag`, `barrier`, `yield_now`) run the scheduler on this agent's
+/// stack until the next resume; if that resume is another agent's, they
+/// hand off — switch to that agent's stack — and return when this agent is
+/// resumed. Everything else is immediate and charges no virtual time.
 ///
 /// Label-taking methods accept anything convertible to
 /// [`Label`](crate::Label): string literals and `format!` results work
@@ -41,12 +43,13 @@ pub struct WaitTimedOut {
 pub struct AgentCtx {
     shared: Arc<Shared>,
     id: AgentId,
-    cv: Arc<Condvar>,
+    /// This agent's own stack.
+    own: Context,
 }
 
 impl AgentCtx {
-    pub(crate) fn new(shared: Arc<Shared>, id: AgentId, cv: Arc<Condvar>) -> Self {
-        AgentCtx { shared, id, cv }
+    pub(crate) fn new(shared: Arc<Shared>, id: AgentId, own: Context) -> Self {
+        AgentCtx { shared, id, own }
     }
 
     /// This agent's id.
@@ -72,21 +75,20 @@ impl AgentCtx {
         self.shared.central.lock().clock
     }
 
-    /// Apply `req`, dispatch the queue on this thread until the next
-    /// resume, and park unless that resume is this agent's own.
+    /// Apply `req` and dispatch the queue on this stack until the next
+    /// resume. Unless that resume is this agent's own, switch to whatever
+    /// runs next and return once this agent is resumed — or unwind if it
+    /// was resumed only to be shut down.
     fn handoff(&mut self, req: Request) {
         let mut g = self.shared.central.lock();
         g.apply_request(self.id, req);
-        let mut g = dispatch(&self.shared, g, Some(self.id));
-        loop {
-            if g.shutdown {
-                drop(g);
-                resume_unwind(Box::new(ShutdownUnwind));
-            }
-            if matches!(g.turn, Turn::Agent(a) if a == self.id) {
-                return;
-            }
-            self.cv.wait(&mut g);
+        let (g, next) = dispatch(&self.shared, g, Some(self.id));
+        if next == Some(self.id) {
+            return;
+        }
+        switch_to(&self.shared, g, self.own, next);
+        if self.shared.central.lock().shutdown {
+            resume_unwind(Box::new(ShutdownUnwind));
         }
     }
 
@@ -265,7 +267,7 @@ impl AgentCtx {
     /// Abort the whole simulation with a structured error.
     ///
     /// The error surfaces as the `Err` of [`Engine::run`](crate::Engine::run)
-    /// (not as an `AgentPanic`); every other agent is unwound and joined.
+    /// (not as an `AgentPanic`); every other agent is unwound.
     /// This is how watchdogs convert silent hangs into attributed diagnoses.
     pub fn abort(&self, err: SimError) -> ! {
         resume_unwind(Box::new(AbortSim(err)))
@@ -333,8 +335,8 @@ impl AgentCtx {
     ///
     /// Used to materialize asynchronous effects at their completion time —
     /// e.g. a DMA engine writing transferred bytes into the destination
-    /// buffer. The closure runs on whichever thread holds the token when it
-    /// falls due (any agent's, or the one in [`Engine::run`]) and must not
+    /// buffer. The closure runs on whichever stack holds the token when it
+    /// falls due (any agent's, or the caller's of [`Engine::run`]) and must not
     /// call back into the engine; a panic in it unwinds out of `Engine::run`
     /// with its own payload. Pair it with [`AgentCtx::schedule_signal`] (the
     /// call is executed before a signal scheduled afterwards at equal time).

@@ -1,11 +1,10 @@
-//! Poison-tolerant `Mutex`/`Condvar` wrappers over `std::sync`.
+//! A poison-tolerant `Mutex` wrapper over `std::sync`.
 //!
 //! The engine intentionally lets agent closures panic (failure injection is
 //! a first-class feature), so a poisoned lock is routine rather than fatal:
 //! every acquisition recovers the inner data instead of propagating the
 //! poison. The API mirrors `parking_lot` (`lock()` returns the guard
-//! directly, `Condvar::wait` takes `&mut guard`) so simulated code stays
-//! terse.
+//! directly) so simulated code stays terse.
 
 use std::ops::{Deref, DerefMut};
 use std::sync;
@@ -21,11 +20,11 @@ impl<T> Mutex<T> {
 
     /// Acquire the lock, recovering from poison.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(
+        MutexGuard(
             self.0
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        ))
+        )
     }
 
     /// Consume the mutex, returning the inner value.
@@ -49,59 +48,24 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 }
 
 /// Guard returned by [`Mutex::lock`].
-///
-/// Holds an `Option` internally so [`Condvar::wait`] can temporarily take
-/// the underlying `std` guard by value (std's API) while callers keep the
-/// `parking_lot`-style `&mut guard` shape.
-pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>);
+pub struct MutexGuard<'a, T: ?Sized>(sync::MutexGuard<'a, T>);
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard taken")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard taken")
+        &mut self.0
     }
 }
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         (**self).fmt(f)
-    }
-}
-
-/// A condition variable paired with [`Mutex`].
-#[derive(Default)]
-pub struct Condvar(sync::Condvar);
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
-    }
-
-    /// Atomically release the guard's lock and block until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard taken");
-        let inner = self
-            .0
-            .wait(inner)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        guard.0 = Some(inner);
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiting threads.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
     }
 }
 
@@ -120,24 +84,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 5);
-    }
-
-    #[test]
-    fn condvar_roundtrip() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            *g = true;
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        h.join().unwrap();
-        assert!(*g);
     }
 }
