@@ -23,6 +23,7 @@
 //! (fault-free), [`Rollback`] (checkpoint/restart) or [`Quorum`] (degraded
 //! mode).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alloc;

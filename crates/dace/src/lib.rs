@@ -28,6 +28,7 @@
 //!   on uncontended routes, conservatively bounded on shared links — with
 //!   a per-kernel/per-route cost ledger, no simulation required.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

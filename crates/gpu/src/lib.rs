@@ -23,6 +23,7 @@
 //! Timing and function are decoupled: [`ExecMode::TimingOnly`] elides
 //! arithmetic but preserves the exact protocol, for large-domain sweeps.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod check;

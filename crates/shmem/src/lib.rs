@@ -29,6 +29,7 @@
 //! selection from the machine's [`gpu_sim::Topology`] rather than raw rank
 //! arithmetic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collectives;

@@ -21,6 +21,7 @@
 //! distributed reduction order exactly ([`PoissonProblem::reference_cg`]),
 //! so results match **bitwise**.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cg;

@@ -17,6 +17,7 @@
 //! reference ([`Domain::verify`]). Large-domain sweeps run in
 //! `TimingOnly` mode with the same protocol.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

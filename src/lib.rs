@@ -42,6 +42,8 @@
 //! See `examples/` for runnable scenarios and `crates/bench` for the
 //! harness regenerating every figure of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use cpufree_core;
 pub use cpufree_solvers;
 pub use dace_sim;
