@@ -445,7 +445,9 @@ fn degraded() {
     write_json("degraded", degraded_json(&rows));
 }
 
-fn check() {
+/// The checker-overhead table; `false` when a row is not clean or its
+/// checked run is not bit-identical to the unchecked one.
+fn check() -> bool {
     println!("== Correctness tooling — happens-before checker overhead ==");
     println!(
         "{:<28} {:>10} {:>10} {:>12} {:>12} {:>9} {:>7} {:>13}",
@@ -458,7 +460,9 @@ fn check() {
         "clean",
         "bit-identical"
     );
+    let mut ok = true;
     for r in check_overhead() {
+        ok &= r.clean && r.bit_identical;
         let factor = r.wall_on.as_secs_f64() / r.wall_off.as_secs_f64().max(1e-9);
         println!(
             "{:<28} {:>10} {:>10} {:>12} {:>12} {:>8.2}x {:>7} {:>13}",
@@ -474,6 +478,7 @@ fn check() {
     }
     println!("(the checker never charges virtual time: totals and numerics are identical;");
     println!(" the factor is host wall clock, paid only when a run opts in)");
+    ok
 }
 
 /// `figures chaos [--seeds N]`: run the deterministic chaos engine — the
@@ -1115,11 +1120,16 @@ fn main() {
         grid2d();
         println!();
     }
+    let mut check_ok = true;
     if want("check") {
-        check();
+        check_ok = check();
         println!();
     }
     if all && JSON.load(Ordering::Relaxed) {
         write_aggregate_json();
+    }
+    if !check_ok {
+        eprintln!("figures check: a checked run was not clean or not bit-identical");
+        std::process::exit(1);
     }
 }

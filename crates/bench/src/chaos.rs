@@ -113,11 +113,12 @@ pub fn jacobi_config(topo: TopologyKind) -> StencilConfig {
 }
 
 /// The CG problem every chaos schedule runs (tiny, `Full` mode). Unlike
-/// [`jacobi_config`] it runs without the checker: checking every CG
-/// schedule costs the sweep about a quarter more CPU time per schedule
-/// and half again on the slowest tenth (measured on the `perf`
-/// benchmark's `fault_sweep`). Every checked CG schedule of the 64-seed
-/// sweep was clean when measured.
+/// [`jacobi_config`] it runs without the checker: a checked fault-free run
+/// costs about 1.5x an unchecked one (1.75 ms against 1.16 ms on
+/// `nvlink-a2a`, 2-vCPU VM), and these CG schedules are the slowest tenth
+/// of the `perf` benchmark's `fault_sweep` ops, so checking them would
+/// move its `op_ms.p90`. Every checked CG schedule of the 64-seed sweep
+/// was clean when measured.
 pub fn cg_problem(topo: TopologyKind) -> PoissonProblem {
     PoissonProblem::new(64, 62, CHAOS_ITERS, CHAOS_NODES).with_topology(topo)
 }

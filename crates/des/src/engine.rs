@@ -862,7 +862,9 @@ impl Engine {
     pub fn enable_hb(&self) -> Arc<HbTracker> {
         let mut g = self.shared.central.lock();
         if g.hb.is_none() {
-            g.hb = Some(Arc::new(HbTracker::new()));
+            let hb = HbTracker::with_pool(Arc::clone(&self.shared.pool));
+            hb.name_agents(g.agents.iter().map(|a| a.name));
+            g.hb = Some(Arc::new(hb));
         }
         Arc::clone(g.hb.as_ref().expect("just set"))
     }
@@ -1033,7 +1035,7 @@ where
     let mut g = shared.central.lock();
     let id = AgentId(g.agents.len());
     if let Some(hb) = &g.hb {
-        hb.on_spawn(parent, id, g.clock);
+        hb.on_spawn(parent, id, name, g.clock);
     }
     g.agents.push(AgentSlot {
         name,

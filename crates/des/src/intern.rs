@@ -19,8 +19,8 @@ use std::sync::{Arc, Mutex};
 ///
 /// `Sym` is `Copy` and 4 bytes: comparing, hashing and storing one is free
 /// compared to the `String` it replaces. Resolve back to text with
-/// [`SymPool::resolve`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+/// [`SymPool::resolve`]. The default is [`Sym::EMPTY`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Sym(u32);
 
 impl Sym {

@@ -2,7 +2,7 @@
 //! protocol conformance over a [`Machine`](crate::Machine) run.
 //!
 //! The checker is a thin machine-level facade over the engine's
-//! [`HbTracker`]: it maps [`Buf`] identities to stable location ids and
+//! [`HbTracker`]: it keys locations by [`Buf`] allocation identity and
 //! forwards memory effects (kernel reads/writes, put payloads, checkpoint
 //! copies) together with the agent's vector clock. Synchronization edges
 //! (signals, waits, barriers, spawns) are recorded automatically by the
@@ -15,9 +15,7 @@
 //! is a skipped `Option` check per machine operation.
 
 use crate::mem::Buf;
-use sim_des::lock::Mutex;
 use sim_des::{AgentCtx, AsyncClock, BlockedInfo, Diagnostic, HbEvent, HbTracker, SimTime};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,6 +28,11 @@ pub struct CheckReport {
     pub events: usize,
     /// Number of memory accesses race-checked.
     pub accesses: usize,
+    /// Accesses still kept in the checker's shadow state at the end.
+    pub retained_accesses: usize,
+    /// Vector-clock slots still live at the end (agents plus in-flight
+    /// async effects).
+    pub live_slots: usize,
 }
 
 impl CheckReport {
@@ -62,29 +65,16 @@ impl fmt::Display for CheckReport {
 /// All methods are safe to call from any agent.
 pub struct Checker {
     hb: Arc<HbTracker>,
-    /// `Buf` allocation identity -> stable location id (first-seen order).
-    locs: Mutex<HashMap<u64, u64>>,
 }
 
 impl Checker {
     pub(crate) fn new(hb: Arc<HbTracker>) -> Self {
-        Checker {
-            hb,
-            locs: Mutex::new(HashMap::new()),
-        }
+        Checker { hb }
     }
 
     /// The underlying engine-level tracker.
     pub fn hb(&self) -> &Arc<HbTracker> {
         &self.hb
-    }
-
-    /// Stable location id for a buffer (allocation identity, not name —
-    /// two buffers that share storage share an id).
-    fn loc(&self, buf: &Buf) -> u64 {
-        let mut g = self.locs.lock();
-        let next = g.len() as u64;
-        *g.entry(buf.raw_key()).or_insert(next)
     }
 
     /// Record a synchronous read or write of `buf[lo..hi]` by the calling
@@ -98,12 +88,10 @@ impl Checker {
         write: bool,
         label: &str,
     ) {
-        let loc = self.loc(buf);
         self.hb.record_access(
             agent.id(),
-            &agent.name(),
             agent.now(),
-            loc,
+            buf.raw_key(),
             buf.name(),
             lo,
             hi,
@@ -120,14 +108,15 @@ impl Checker {
     }
 
     /// Record a read or write performed *by* an asynchronous effect (DMA),
-    /// stamped with the issuing clock plus the effect token. `nbi_src`
+    /// stamped with the issuing clock plus the effect's own slot. `nbi_src`
     /// marks the in-flight source read of an `nbi` put, so a conflicting
     /// reuse is classified as source-buffer reuse rather than a plain race.
+    /// Record every access of an effect before its completion signal is
+    /// delivered or it is absorbed.
     #[allow(clippy::too_many_arguments)]
     pub fn record_async(
         &self,
         stamp: &AsyncClock,
-        who: &str,
         time: SimTime,
         buf: &Buf,
         lo: usize,
@@ -136,12 +125,10 @@ impl Checker {
         nbi_src: bool,
         label: &str,
     ) {
-        let loc = self.loc(buf);
         self.hb.record_access_async(
             stamp,
-            who,
             time,
-            loc,
+            buf.raw_key(),
             buf.name(),
             lo,
             hi,
@@ -156,6 +143,11 @@ impl Checker {
     /// absorbed effects.
     pub fn absorb(&self, agent: &AgentCtx, effects: &[AsyncClock]) {
         self.hb.absorb(agent.id(), effects, agent.now());
+    }
+
+    /// The allocation `raw_key` was freed: drop its shadow state.
+    pub(crate) fn release(&self, raw_key: u64) {
+        self.hb.forget_location(raw_key);
     }
 
     /// Report PE `pe` committing iteration `t`; neighboring PEs must never
@@ -197,8 +189,10 @@ impl Checker {
     pub fn report(&self) -> CheckReport {
         CheckReport {
             diagnostics: self.hb.diagnostics(),
-            events: self.hb.events().len(),
+            events: self.hb.event_count(),
             accesses: self.hb.access_count(),
+            retained_accesses: self.hb.retained_accesses(),
+            live_slots: self.hb.live_slots(),
         }
     }
 }

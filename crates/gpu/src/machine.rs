@@ -195,11 +195,15 @@ impl Machine {
     }
 
     fn make_buf(&self, place: Place, name: String, len: usize) -> Buf {
-        match self.inner.exec_mode {
+        let buf = match self.inner.exec_mode {
             // Timing-only runs sweep paper-scale domains (tens of GB);
             // buffers are virtual: sized for cost accounting, storage-free.
             ExecMode::TimingOnly => Buf::new_virtual(place, name, len),
             ExecMode::Full => Buf::new(place, name, len),
+        };
+        match self.checker() {
+            Some(checker) => buf.watched_by(&checker),
+            None => buf,
         }
     }
 

@@ -6,10 +6,11 @@
 //! but *time* is charged separately through the cost model, so functional
 //! content and performance accounting stay decoupled.
 
+use crate::check::Checker;
 use sim_des::lock::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Identifies a device within one machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,6 +60,17 @@ struct BufInner {
     /// no-ops (reads yield 0). Used by `ExecMode::TimingOnly` so that
     /// paper-scale domains (tens of GB) can be swept without allocating.
     data: Option<Mutex<Vec<f64>>>,
+    /// The checker recording accesses to this allocation; told when it is
+    /// freed.
+    checker: Option<Weak<Checker>>,
+}
+
+impl Drop for BufInner {
+    fn drop(&mut self) {
+        if let Some(checker) = self.checker.as_ref().and_then(Weak::upgrade) {
+            checker.release(self.id);
+        }
+    }
 }
 
 /// A handle to a simulated memory buffer (cheaply clonable).
@@ -104,8 +116,17 @@ impl Buf {
                 name,
                 len,
                 data,
+                checker: None,
             }),
         }
+    }
+
+    /// Tell `checker` when this (fresh) allocation is freed.
+    pub(crate) fn watched_by(mut self, checker: &Arc<Checker>) -> Buf {
+        Arc::get_mut(&mut self.inner)
+            .expect("a fresh buffer is unshared")
+            .checker = Some(Arc::downgrade(checker));
+        self
     }
 
     /// True when this buffer has no backing storage.

@@ -219,11 +219,9 @@ impl ShmemCtx {
     ) -> Option<AsyncClock> {
         let chk = self.checker.as_ref()?;
         let agent = ctx.agent();
-        let who = agent.name();
         let stamp = chk.async_begin(agent);
         chk.record_async(
             &stamp,
-            &who,
             agent.now(),
             src,
             src_off,
@@ -234,7 +232,6 @@ impl ShmemCtx {
         );
         chk.record_async(
             &stamp,
-            &who,
             delivered_at,
             dst,
             dst_off,
@@ -844,7 +841,6 @@ impl ShmemCtx {
             let stamp = chk.async_begin(agent);
             chk.record_async(
                 &stamp,
-                &agent.name(),
                 done_at,
                 dst.local(pe),
                 dst_idx,
