@@ -13,79 +13,67 @@
 #![forbid(unsafe_code)]
 
 use cpufree_bench::*;
+use sim_des::json::{self, Json};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Set once in `main` when `--json` is passed.
 static JSON: AtomicBool = AtomicBool::new(false);
 
-/// Every `(figure, body)` written this run, in emission order — folded into
-/// the aggregate `BENCH_figures.json` at the end of a full `--json` run.
-static COLLECTED: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
+/// Every `(figure, rows)` written this run, in emission order — folded
+/// into the aggregate `BENCH_figures.json` at the end of a full `--json` run.
+static COLLECTED: Mutex<Vec<(String, Json)>> = Mutex::new(Vec::new());
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn points_json(rows: &[Point]) -> String {
-    let items: Vec<String> = rows
-        .iter()
+fn points_json(rows: &[Point]) -> Json {
+    rows.iter()
         .map(|p| {
-            format!(
-                "{{\"series\":\"{}\",\"gpus\":{},\"per_iter_ns\":{},\"comm_ns\":{},\
-                 \"sync_ns\":{},\"exposed_comm_ns\":{},\"overlap\":{:.6},\"total_ns\":{}}}",
-                json_escape(&p.series),
-                p.gpus,
-                p.per_iter.as_nanos(),
-                p.comm.as_nanos(),
-                p.sync.as_nanos(),
-                p.exposed_comm.as_nanos(),
-                p.overlap,
-                p.total.as_nanos()
-            )
+            Json::obj([
+                ("series", p.series.as_str().into()),
+                ("gpus", p.gpus.into()),
+                ("per_iter_ns", p.per_iter.as_nanos().into()),
+                ("comm_ns", p.comm.as_nanos().into()),
+                ("sync_ns", p.sync.as_nanos().into()),
+                ("exposed_comm_ns", p.exposed_comm.as_nanos().into()),
+                ("overlap", Json::fixed(p.overlap, 6)),
+                ("total_ns", p.total.as_nanos().into()),
+            ])
         })
-        .collect();
-    format!("[\n  {}\n]\n", items.join(",\n  "))
+        .collect()
 }
 
-fn dace_json(rows: &[DacePoint]) -> String {
-    let items: Vec<String> = rows
-        .iter()
+fn dace_json(rows: &[DacePoint]) -> Json {
+    rows.iter()
         .map(|p| {
-            format!(
-                "{{\"gpus\":{},\"baseline_total_ns\":{},\"baseline_comm_ns\":{},\
-                 \"cpufree_total_ns\":{},\"cpufree_comm_ns\":{},\
-                 \"improvement_pct\":{:.3},\"comm_improvement_pct\":{:.3}}}",
-                p.gpus,
-                p.baseline_total.as_nanos(),
-                p.baseline_comm.as_nanos(),
-                p.cpufree_total.as_nanos(),
-                p.cpufree_comm.as_nanos(),
-                p.improvement_pct,
-                p.comm_improvement_pct
-            )
+            Json::obj([
+                ("gpus", p.gpus.into()),
+                ("baseline_total_ns", p.baseline_total.as_nanos().into()),
+                ("baseline_comm_ns", p.baseline_comm.as_nanos().into()),
+                ("cpufree_total_ns", p.cpufree_total.as_nanos().into()),
+                ("cpufree_comm_ns", p.cpufree_comm.as_nanos().into()),
+                ("improvement_pct", Json::fixed(p.improvement_pct, 3)),
+                (
+                    "comm_improvement_pct",
+                    Json::fixed(p.comm_improvement_pct, 3),
+                ),
+            ])
         })
-        .collect();
-    format!("[\n  {}\n]\n", items.join(",\n  "))
+        .collect()
 }
 
-fn topo_json(rows: &[TopoRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
+fn topo_json(rows: &[TopoRow]) -> Json {
+    rows.iter()
         .map(|r| {
-            format!(
-                "{{\"topology\":\"{}\",\"pairs\":{},\"per_transfer_ns\":{},\"makespan_ns\":{}}}",
-                r.topology,
-                r.pairs,
-                r.per_transfer.as_nanos(),
-                r.makespan.as_nanos()
-            )
+            Json::obj([
+                ("topology", r.topology.as_str().into()),
+                ("pairs", r.pairs.into()),
+                ("per_transfer_ns", r.per_transfer.as_nanos().into()),
+                ("makespan_ns", r.makespan.as_nanos().into()),
+            ])
         })
-        .collect();
-    format!("[\n  {}\n]\n", items.join(",\n  "))
+        .collect()
 }
 
-fn write_json(name: &str, body: String) {
+fn write_json(name: &str, body: Json) {
     if !JSON.load(Ordering::Relaxed) {
         return;
     }
@@ -96,7 +84,7 @@ fn write_json(name: &str, body: String) {
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
     let path = format!("BENCH_{slug}.json");
-    std::fs::write(&path, &body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(&path, json::write(&body)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("[wrote {path}]");
     COLLECTED.lock().unwrap().push((slug, body));
 }
@@ -106,13 +94,9 @@ fn write_json(name: &str, body: String) {
 /// deterministic engine), so regenerating the file is byte-identical — CI
 /// diffs it against the committed copy.
 fn write_aggregate_json() {
-    let collected = COLLECTED.lock().unwrap();
-    let items: Vec<String> = collected
-        .iter()
-        .map(|(name, body)| format!("  \"{name}\": {}", body.trim_end().replace('\n', "\n  ")))
-        .collect();
+    let collected = std::mem::take(&mut *COLLECTED.lock().unwrap());
     let path = "BENCH_figures.json";
-    std::fs::write(path, format!("{{\n{}\n}}\n", items.join(",\n")))
+    std::fs::write(path, json::write(&Json::Obj(collected)))
         .unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("[wrote {path}]");
 }
@@ -358,44 +342,36 @@ fn cg() {
     write_json("cg", dace_json(&rows));
 }
 
-fn faults_json(rows: &[FaultRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
+fn faults_json(rows: &[FaultRow]) -> Json {
+    rows.iter()
         .map(|r| {
-            format!(
-                "{{\"workload\":\"{}\",\"scenario\":\"{}\",\"total_ns\":{},\
-                 \"overhead_pct\":{:.3},\"rollbacks\":{},\"retries\":{},\"bit_identical\":{}}}",
-                json_escape(&r.workload),
-                json_escape(&r.scenario),
-                r.total.as_nanos(),
-                r.overhead_pct,
-                r.rollbacks,
-                r.retries,
-                r.bit_identical
-            )
+            Json::obj([
+                ("workload", r.workload.as_str().into()),
+                ("scenario", r.scenario.as_str().into()),
+                ("total_ns", r.total.as_nanos().into()),
+                ("overhead_pct", Json::fixed(r.overhead_pct, 3)),
+                ("rollbacks", r.rollbacks.into()),
+                ("retries", r.retries.into()),
+                ("bit_identical", r.bit_identical.into()),
+            ])
         })
-        .collect();
-    format!("[\n  {}\n]\n", items.join(",\n  "))
+        .collect()
 }
 
-fn degraded_json(rows: &[chaos::DegradedRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
+fn degraded_json(rows: &[chaos::DegradedRow]) -> Json {
+    rows.iter()
         .map(|r| {
-            format!(
-                "{{\"workload\":\"{}\",\"topology\":\"{}\",\"plan\":\"{}\",\"total_ns\":{},\
-                 \"quorum\":{:?},\"retries\":{},\"result_bits\":\"{:#018x}\"}}",
-                r.workload.name(),
-                r.topology.name(),
-                r.plan,
-                r.total.as_nanos(),
-                r.quorum,
-                r.retries,
-                r.result_bits
-            )
+            Json::obj([
+                ("workload", r.workload.name().into()),
+                ("topology", r.topology.name().into()),
+                ("plan", r.plan.into()),
+                ("total_ns", r.total.as_nanos().into()),
+                ("quorum", r.quorum.iter().map(|&q| Json::from(q)).collect()),
+                ("retries", r.retries.into()),
+                ("result_bits", format!("{:#018x}", r.result_bits).into()),
+            ])
         })
-        .collect();
-    format!("[\n  {}\n]\n", items.join(",\n  "))
+        .collect()
 }
 
 fn faults() {
@@ -509,13 +485,13 @@ fn chaos(seeds: u64, jobs: usize) -> i32 {
     // minimized plans.
     for case in report.violations() {
         let p = dir.join(format!("repro_{}.json", case.id));
-        let doc = reproducer_json(case.workload, case.topology, &case.plan);
+        let doc = reproducer_json(case.workload, case.topology, &case.plan, false);
         std::fs::write(&p, doc).unwrap_or_else(|e| panic!("writing {}: {e}", p.display()));
         println!("[wrote {}]", p.display());
     }
     if let Some(demo) = &report.demo {
         let p = dir.join("repro_seeded_violation.json");
-        let doc = reproducer_json(demo.workload, demo.topology, &demo.original);
+        let doc = reproducer_json(demo.workload, demo.topology, &demo.original, false);
         std::fs::write(&p, doc).unwrap_or_else(|e| panic!("writing {}: {e}", p.display()));
         let p = dir.join("repro_seeded_violation_minimal.json");
         std::fs::write(&p, &demo.reproducer)
@@ -533,13 +509,15 @@ fn chaos(seeds: u64, jobs: usize) -> i32 {
 
     write_json(
         "chaos",
-        format!(
-            "{{\n  \"seeds\": {seeds},\n  \"schedules\": {},\n  \"violations\": {},\n  \
-             \"demo_reproduced\": {}\n}}\n",
-            report.cases.len(),
-            report.violations().len(),
-            report.demo.as_ref().is_some_and(|d| d.reproduced())
-        ),
+        Json::obj([
+            ("seeds", seeds.into()),
+            ("schedules", report.cases.len().into()),
+            ("violations", report.violations().len().into()),
+            (
+                "demo_reproduced",
+                report.demo.as_ref().is_some_and(|d| d.reproduced()).into(),
+            ),
+        ]),
     );
     if report.ok() {
         0
@@ -620,27 +598,46 @@ fn verify(jobs: usize) -> i32 {
     }
 }
 
-/// Deterministic half of `BENCH_des_core.json` — virtual end times and
-/// event counts from the engine. Byte-stable across machines and thread
-/// counts, so CI regenerates it and diffs against the committed file.
-fn des_core_deterministic_json(rows: &[DesCoreRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\":\"{}\",\"end_ns\":{},\"events\":{}}}",
-                r.name, r.end_ns, r.events
-            )
-        })
-        .collect();
-    format!("  \"deterministic\": [\n{}\n  ]", items.join(",\n"))
+/// Without `check`, write `body` to `path`. With `check`, require the
+/// committed file to equal it byte for byte instead; the error says what
+/// is wrong and how `figures <gate>` regenerates the file.
+fn check_or_write(gate: &str, path: &str, body: &str, check: bool) -> Result<(), String> {
+    if !check {
+        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("[wrote {path}]");
+        return Ok(());
+    }
+    match std::fs::read_to_string(path) {
+        Err(e) => Err(format!("reading {path}: {e}")),
+        Ok(committed) if committed == body => {
+            println!("[{path} is current]");
+            Ok(())
+        }
+        Ok(_) => Err(format!(
+            "{path} is stale: the committed file differs from the regenerated one.\n\
+             Regenerate with `cargo run -p cpufree-bench --release --bin figures -- {gate}`."
+        )),
+    }
+}
+
+/// Exit status of a gate: 0, or 1 after printing the error.
+fn status(result: Result<(), String>) -> i32 {
+    match result {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("{e}");
+            1
+        }
+    }
 }
 
 /// `figures des_core [--check]`: run the DES-core micro-benchmarks.
-/// Without `--check`, writes `BENCH_des_core.json` (deterministic block +
-/// measured events/sec snapshot). With `--check`, regenerates the
-/// deterministic block and requires the committed file to contain it byte
-/// for byte — the wall-clock half is never diffed.
+/// Without `--check`, writes `BENCH_des_core.json`: the deterministic rows
+/// (virtual end times and event counts, byte-stable across machines and
+/// thread counts) and a measured events/sec snapshot. With `--check`,
+/// regenerates the deterministic rows, renders them with the committed
+/// file's own `measured` member — the wall-clock half is never compared —
+/// and requires the result to equal the committed file byte for byte.
 fn des_core(check: bool) -> i32 {
     println!("== DES core — engine hot-path throughput ==");
     let rows = des_core_rows();
@@ -658,73 +655,38 @@ fn des_core(check: bool) -> i32 {
             r.events_per_sec()
         );
     }
-    let det = des_core_deterministic_json(&rows);
     let path = "BENCH_des_core.json";
-    if check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("reading {path}: {e}");
-                return 1;
-            }
-        };
-        if committed.contains(&det) {
-            println!("[{path} deterministic block is current]");
-            0
-        } else {
-            eprintln!(
-                "{path} is stale: the committed deterministic block differs from the \
-                 regenerated engine results.\nexpected block:\n{det}\n\
-                 Regenerate with `cargo run -p cpufree-bench --release --bin figures -- des_core`."
-            );
-            1
-        }
-    } else {
-        let measured: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"name\":\"{}\",\"wall_ns\":{},\"events_per_sec\":{:.0}}}",
-                    r.name,
-                    r.wall.as_nanos(),
-                    r.events_per_sec()
-                )
-            })
-            .collect();
-        let body = format!(
-            "{{\n{det},\n  \"measured\": [\n{}\n  ]\n}}\n",
-            measured.join(",\n")
-        );
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("[wrote {path}]");
-        0
-    }
-}
-
-/// `BENCH_traffic.json` body — the AI traffic-pattern sweep over the
-/// cluster fabrics. Every field is virtual-time-derived, so the whole
-/// file is deterministic and CI diffs it byte for byte.
-fn traffic_json(rows: &[cpufree_bench::traffic::TrafficRow]) -> String {
-    let items: Vec<String> = rows
+    let deterministic = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"fabric\":\"{}\",\"gpus\":{},\"pattern\":\"{}\",\"makespan_ns\":{},\
-                 \"busiest_link\":\"{}\",\"busiest_busy_ns\":{},\"utilization\":{:.4},\
-                 \"reservations\":{},\"queued_ns\":{}}}",
-                r.fabric,
-                r.gpus,
-                r.pattern,
-                r.makespan.as_nanos(),
-                r.busiest_link,
-                r.busiest_busy.as_nanos(),
-                r.utilization,
-                r.reservations,
-                r.queued.as_nanos()
-            )
+            Json::obj([
+                ("name", r.name.into()),
+                ("end_ns", r.end_ns.into()),
+                ("events", r.events.into()),
+            ])
         })
         .collect();
-    format!("{{\n  \"traffic\": [\n{}\n  ]\n}}\n", items.join(",\n"))
+    let measured = if check {
+        let committed = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text));
+        match committed {
+            Ok(doc) => doc.get("measured").cloned().unwrap_or(Json::Null),
+            Err(e) => return status(Err(format!("reading {path}: {e}"))),
+        }
+    } else {
+        rows.iter()
+            .map(|r| {
+                Json::obj([
+                    ("name", r.name.into()),
+                    ("wall_ns", r.wall.as_nanos().into()),
+                    ("events_per_sec", Json::fixed(r.events_per_sec(), 0)),
+                ])
+            })
+            .collect()
+    };
+    let body = Json::obj([("deterministic", deterministic), ("measured", measured)]);
+    status(check_or_write("des_core", path, &json::write(&body), check))
 }
 
 /// `figures traffic [--check]`: sweep one data-parallel, tensor-parallel,
@@ -755,59 +717,29 @@ fn traffic(check: bool, jobs: usize) -> i32 {
             r.reservations
         );
     }
-    let body = traffic_json(&rows);
-    let path = "BENCH_traffic.json";
-    if check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("reading {path}: {e}");
-                return 1;
-            }
-        };
-        if committed == body {
-            println!("[{path} is current]");
-            0
-        } else {
-            eprintln!(
-                "{path} is stale: the committed sweep differs from the regenerated one.\n\
-                 Regenerate with `cargo run -p cpufree-bench --release --bin figures -- traffic`."
-            );
-            1
-        }
-    } else {
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("[wrote {path}]");
-        0
-    }
-}
-
-/// `BENCH_cost.json` body — the static-predictor-vs-DES sweep over the
-/// program corpus and every topology preset. Both sides are pure virtual
-/// time, so the whole file is deterministic and CI diffs it byte for byte.
-fn cost_json(rows: &[cpufree_bench::cost::CostRow]) -> String {
-    let items: Vec<String> = rows
+    let traffic = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"program\":\"{}\",\"stage\":\"{}\",\"gpus\":{},\"fabric\":\"{}\",\
-                 \"predicted_ns\":{},\"base_ns\":{},\"margin_ns\":{},\"simulated_ns\":{},\
-                 \"rel_err\":{:.6},\"contended\":{},\"extrapolated\":{}}}",
-                r.program,
-                r.stage,
-                r.gpus,
-                r.fabric,
-                r.predicted.as_nanos(),
-                r.base.as_nanos(),
-                r.margin.as_nanos(),
-                r.simulated.as_nanos(),
-                r.rel_err,
-                r.contended,
-                r.extrapolated
-            )
+            Json::obj([
+                ("fabric", r.fabric.as_str().into()),
+                ("gpus", r.gpus.into()),
+                ("pattern", r.pattern.into()),
+                ("makespan_ns", r.makespan.as_nanos().into()),
+                ("busiest_link", r.busiest_link.as_str().into()),
+                ("busiest_busy_ns", r.busiest_busy.as_nanos().into()),
+                ("utilization", Json::fixed(r.utilization, 4)),
+                ("reservations", r.reservations.into()),
+                ("queued_ns", r.queued.as_nanos().into()),
+            ])
         })
         .collect();
-    format!("{{\n  \"cost\": [\n{}\n  ]\n}}\n", items.join(",\n"))
+    let body = json::write(&Json::obj([("traffic", traffic)]));
+    status(check_or_write(
+        "traffic",
+        "BENCH_traffic.json",
+        &body,
+        check,
+    ))
 }
 
 /// `figures cost [--check]`: predict every (corpus program × persistent
@@ -872,7 +804,26 @@ fn cost(check: bool, jobs: usize) -> i32 {
     print!("{tops}");
 
     let violations = sweep.violations();
-    let body = cost_json(&sweep.rows);
+    let cost = sweep
+        .rows
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("program", r.program.into()),
+                ("stage", r.stage.into()),
+                ("gpus", r.gpus.into()),
+                ("fabric", r.fabric.as_str().into()),
+                ("predicted_ns", r.predicted.as_nanos().into()),
+                ("base_ns", r.base.as_nanos().into()),
+                ("margin_ns", r.margin.as_nanos().into()),
+                ("simulated_ns", r.simulated.as_nanos().into()),
+                ("rel_err", Json::fixed(r.rel_err, 6)),
+                ("contended", r.contended.into()),
+                ("extrapolated", r.extrapolated.into()),
+            ])
+        })
+        .collect();
+    let body = json::write(&Json::obj([("cost", cost)]));
     let write_report = |extra: &str| {
         let dir = std::path::Path::new("target/cost_report");
         std::fs::create_dir_all(dir).expect("create target/cost_report");
@@ -898,32 +849,11 @@ fn cost(check: bool, jobs: usize) -> i32 {
         }
         return 1;
     }
-    let path = "BENCH_cost.json";
-    if check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("reading {path}: {e}");
-                write_report(&format!("\nreading {path}: {e}\n"));
-                return 1;
-            }
-        };
-        if committed == body {
-            println!("[{path} is current]");
-            0
-        } else {
-            write_report("\nstale BENCH_cost.json: regenerated ledger differs\n");
-            eprintln!(
-                "{path} is stale: the committed ledger differs from the regenerated one.\n\
-                 Regenerate with `cargo run -p cpufree-bench --release --bin figures -- cost`."
-            );
-            1
-        }
-    } else {
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("[wrote {path}]");
-        0
+    let result = check_or_write("cost", "BENCH_cost.json", &body, check);
+    if let Err(e) = &result {
+        write_report(&format!("\n{e}\n"));
     }
+    status(result)
 }
 
 /// Parse the value of `--<name> N` out of `args`, removing both tokens.

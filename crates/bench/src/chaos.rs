@@ -1,7 +1,7 @@
 //! Deterministic chaos engine — the sweep driver.
 //!
 //! [`sim_des::chaos`] holds the pure-data half of the engine (the outcome
-//! taxonomy, the hand-rolled fault-plan JSON, the ddmin shrinker). This
+//! taxonomy, the fault-plan JSON, the ddmin shrinker). This
 //! module can see the workloads, so it owns the other half: enumerate fault
 //! schedules ([`FaultPlan::from_seed`] seeds crossed with every
 //! [`TopologyKind`] preset and both fault-tolerant workloads), run each
@@ -21,9 +21,8 @@
 //! deterministic: the same seed budget renders a byte-identical report.
 
 use cpufree_solvers::{CgFtConfig, PoissonProblem};
-use sim_des::chaos::{
-    atoms, classify_error, plan_from_json, plan_to_json, shrink, string_field, ChaosOutcome,
-};
+use sim_des::chaos::{atoms, classify_error, shrink, ChaosOutcome};
+use sim_des::json::{self, Json};
 use sim_des::{us, CrashFault, DropFault, FaultPlan, LinkFault, SimTime, StragglerFault};
 use stencil_lab::{FtConfig, StencilConfig};
 
@@ -755,9 +754,9 @@ pub fn shrink_demo() -> ShrinkDemo {
         run_schedule(workload, topo, candidate, &base).label() == target
     });
     let shrunk_outcome = run_schedule(workload, topo, &shrunk, &base);
-    let reproducer = reproducer_json(workload, topo, &shrunk);
-    let replay_outcome = match reproducer_parse(&reproducer) {
-        Ok((w, t, plan)) => run_schedule(w, t, &plan, &baseline(w, t)),
+    let reproducer = reproducer_json(workload, topo, &shrunk, false);
+    let replay_outcome = match replay(&reproducer) {
+        Ok((_, _, outcome)) => outcome,
         Err(e) => ChaosOutcome::UnattributedHang {
             detail: format!("reproducer failed to parse: {e}"),
         },
@@ -808,57 +807,65 @@ pub fn chaos_sweep_jobs(seeds: u64, with_demo: bool, jobs: usize) -> Result<Chao
 // Reproducer files
 // ---------------------------------------------------------------------------
 
-/// Serialize a replayable reproducer: the plan JSON with `workload` and
-/// `topology` tags in the same object ([`plan_from_json`] ignores them).
-pub fn reproducer_json(workload: ChaosWorkload, topo: TopologyKind, plan: &FaultPlan) -> String {
-    let body = plan_to_json(plan);
-    format!(
-        "{{\n  \"workload\": \"{}\",\n  \"topology\": \"{}\",\n{}",
-        workload.name(),
-        topo.name(),
-        &body[2..]
-    )
-}
-
-/// Serialize a reproducer that replays through the **degraded-mode**
-/// runner (no checkpoint/restart): [`reproducer_json`] plus a
-/// `"mode": "degraded"` tag that [`replay`] dispatches on.
-pub fn degraded_reproducer_json(
+/// Serialize a replayable reproducer as one object: `workload` and
+/// `topology` tags, with `degraded` a `"mode": "degraded"` tag that
+/// [`replay`] dispatches on, then the plan's members.
+pub fn reproducer_json(
     workload: ChaosWorkload,
     topo: TopologyKind,
     plan: &FaultPlan,
+    degraded: bool,
 ) -> String {
-    let body = plan_to_json(plan);
-    format!(
-        "{{\n  \"workload\": \"{}\",\n  \"topology\": \"{}\",\n  \"mode\": \"degraded\",\n{}",
-        workload.name(),
-        topo.name(),
-        &body[2..]
-    )
+    let mut doc = vec![
+        ("workload".to_owned(), workload.name().into()),
+        ("topology".to_owned(), topo.name().into()),
+    ];
+    if degraded {
+        doc.push(("mode".to_owned(), "degraded".into()));
+    }
+    let Json::Obj(plan) = plan.to_json() else {
+        unreachable!("a fault plan serializes as a JSON object");
+    };
+    doc.extend(plan);
+    json::write(&Json::Obj(doc))
 }
 
-/// Parse a reproducer file back into its schedule.
-pub fn reproducer_parse(s: &str) -> Result<(ChaosWorkload, TopologyKind, FaultPlan), String> {
-    let w = string_field(s, "workload")?.ok_or("missing \"workload\"")?;
+/// Parse a reproducer document: its workload, topology and plan, and
+/// whether it replays through the degraded-mode runner.
+///
+/// # Errors
+/// Malformed JSON, a missing or unknown `workload`/`topology`, a
+/// non-string tag, or a malformed plan.
+pub fn reproducer_parse(
+    document: &str,
+) -> Result<(ChaosWorkload, TopologyKind, FaultPlan, bool), String> {
+    let doc = json::parse(document)?;
+    let tag = |key: &str| -> Result<Option<&str>, String> {
+        doc.get(key)
+            .map(|v| v.as_str().ok_or(format!("\"{key}\": expected a string")))
+            .transpose()
+    };
+    let w = tag("workload")?.ok_or("missing \"workload\"")?;
     let workload =
-        ChaosWorkload::from_name(&w).ok_or_else(|| format!("unknown workload \"{w}\""))?;
-    let t = string_field(s, "topology")?.ok_or("missing \"topology\"")?;
-    let topo = topology_from_name(&t).ok_or_else(|| format!("unknown topology \"{t}\""))?;
-    let plan = plan_from_json(s)?;
-    Ok((workload, topo, plan))
+        ChaosWorkload::from_name(w).ok_or_else(|| format!("unknown workload \"{w}\""))?;
+    let t = tag("topology")?.ok_or("missing \"topology\"")?;
+    let topo = topology_from_name(t).ok_or_else(|| format!("unknown topology \"{t}\""))?;
+    let degraded = tag("mode")? == Some("degraded");
+    Ok((workload, topo, FaultPlan::from_json(&doc)?, degraded))
 }
 
-/// Replay a reproducer document: re-run its schedule under the recovery
-/// oracles and return the (workload, topology, outcome) triple. Documents
-/// tagged `"mode": "degraded"` replay through the degraded-mode runner.
+/// Replay a reproducer document: parse it once, re-run its schedule under
+/// the recovery oracles and return the (workload, topology, outcome)
+/// triple.
+///
+/// # Errors
+/// A document [`reproducer_parse`] rejects.
 pub fn replay(document: &str) -> Result<(ChaosWorkload, TopologyKind, ChaosOutcome), String> {
-    let (workload, topo, plan) = reproducer_parse(document)?;
-    let degraded = matches!(string_field(document, "mode")?.as_deref(), Some("degraded"));
+    let (workload, topo, plan, degraded) = reproducer_parse(document)?;
     let outcome = if degraded {
         run_degraded_schedule(workload, topo, &plan)
     } else {
-        let base = baseline(workload, topo);
-        run_schedule(workload, topo, &plan, &base)
+        run_schedule(workload, topo, &plan, &baseline(workload, topo))
     };
     Ok((workload, topo, outcome))
 }
@@ -970,7 +977,7 @@ pub fn fabric_fixture_docs() -> Vec<(&'static str, String)> {
                 "fabric case {label}: kill did not perturb the degraded run"
             );
             let shrunk = shrink(&plan, &mut |candidate| signature(candidate) == target);
-            (label, degraded_reproducer_json(workload, kind, &shrunk))
+            (label, reproducer_json(workload, kind, &shrunk, true))
         })
         .collect()
 }
@@ -981,24 +988,32 @@ mod tests {
 
     #[test]
     fn reproducer_round_trips() {
-        let plan = seeded_violation_plan();
-        let doc = reproducer_json(ChaosWorkload::Cg, TopologyKind::PcieTree, &plan);
-        let (w, t, back) = reproducer_parse(&doc).expect("parse");
-        assert_eq!(w, ChaosWorkload::Cg);
-        assert_eq!(t, TopologyKind::PcieTree);
-        assert_eq!(back, plan);
+        let (workload, topo, plan) = (
+            ChaosWorkload::Cg,
+            TopologyKind::PcieTree,
+            seeded_violation_plan(),
+        );
+        for degraded in [false, true] {
+            let doc = reproducer_json(workload, topo, &plan, degraded);
+            assert_eq!(
+                reproducer_parse(&doc),
+                Ok((workload, topo, plan.clone(), degraded))
+            );
+        }
     }
 
     #[test]
     fn reproducer_rejects_unknown_tags() {
         let plan = FaultPlan::new();
-        let doc = reproducer_json(ChaosWorkload::Jacobi, TopologyKind::TwoNode, &plan)
-            .replace("jacobi", "fortran");
-        assert!(reproducer_parse(&doc)
+        let doc = reproducer_json(ChaosWorkload::Jacobi, TopologyKind::TwoNode, &plan, false);
+        assert!(reproducer_parse(&doc.replace("jacobi", "fortran"))
             .unwrap_err()
             .contains("unknown workload"));
-        let doc2 = plan_to_json(&plan);
-        assert!(reproducer_parse(&doc2).unwrap_err().contains("workload"));
+        let bare = json::write(&plan.to_json());
+        assert!(reproducer_parse(&bare).unwrap_err().contains("workload"));
+        // Escaped names read back like plain ones.
+        let escaped = doc.replace("\"jacobi\"", "\"jacob\\u0069\"");
+        assert_eq!(reproducer_parse(&escaped), reproducer_parse(&doc));
     }
 
     #[test]

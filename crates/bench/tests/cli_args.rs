@@ -57,10 +57,12 @@ fn stray_arguments_exit_2_and_write_nothing() {
 fn unreadable_reproducers_exit_2() {
     let fixture = include_str!("../fixtures/chaos/degraded-switchkill.json");
     let truncated = &fixture[..fixture.len() / 2];
+    let deep = "[".repeat(1_000_000);
     let cases: &[(&[(&str, &str)], &str)] = &[
         (&[("repro.json", "garbage")], "repro.json"),
         (&[("repro.json", truncated)], "repro.json"),
         (&[], "missing.json"),
+        (&[("repro.json", &deep)], "repro.json"),
     ];
     for (case, (files, path)) in cases.iter().enumerate() {
         let (code, _) = run_in_dir(100 + case, files, &["chaos-replay", path]);

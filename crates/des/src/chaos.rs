@@ -14,9 +14,10 @@
 //!    [`SimError::Timeout`]/[`SimError::Deadlock`] with a wait-for graph,
 //!    or a checker diagnostic (an [`SimError::AgentPanic`] carrying one).
 //!
-//! This module holds the *pure data* half of the engine: a hand-rolled JSON
-//! round-trip for [`FaultPlan`] (the workspace has no serde — reproducers
-//! must be replayable from a single file), the [`ChaosOutcome`] taxonomy
+//! This module holds the *pure data* half of the engine: the JSON
+//! round-trip for [`FaultPlan`] ([`FaultPlan::to_json`] /
+//! [`FaultPlan::from_json`] over [`crate::json`] — reproducers must be
+//! replayable from a single file), the [`ChaosOutcome`] taxonomy
 //! every schedule is classified into, and [`shrink`] — a delta-debugging
 //! minimizer that reduces a failing plan to a 1-minimal fault list and then
 //! tightens injection windows, so every finding ships as a minimal
@@ -24,7 +25,9 @@
 
 use crate::engine::SimError;
 use crate::fault::{CrashFault, DropFault, FaultPlan, LinkFault, StragglerFault};
+use crate::json::Json;
 use crate::time::SimTime;
+use std::str::FromStr;
 
 // ---------------------------------------------------------------------------
 // Outcome taxonomy
@@ -141,402 +144,127 @@ pub fn classify_error(err: &SimError) -> ChaosOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// FaultPlan <-> JSON (hand-rolled; the workspace has no serde)
+// FaultPlan <-> JSON
 // ---------------------------------------------------------------------------
 
-fn f64_json(v: f64) -> String {
-    // Rust's shortest round-trip formatting; ensure a decimal point so the
-    // value reads back as a float field unambiguously.
-    let s = format!("{v}");
-    if s.contains(['.', 'e', 'E', 'n', 'i']) {
-        s
-    } else {
-        format!("{s}.0")
+impl FaultPlan {
+    /// The plan as a JSON object. Virtual times are u64 nanoseconds and
+    /// floats use Rust's shortest round-trip text, so
+    /// `FaultPlan::from_json(&p.to_json()) == Ok(p)` holds bitwise.
+    pub fn to_json(&self) -> Json {
+        let links = self.links.iter().map(|l| {
+            Json::obj([
+                ("a", l.a.into()),
+                ("b", l.b.into()),
+                ("from", l.from.as_nanos().into()),
+                ("until", l.until.as_nanos().into()),
+                ("latency_mult", l.latency_mult.into()),
+                ("bandwidth_mult", l.bandwidth_mult.into()),
+            ])
+        });
+        let drops = self.drops.iter().map(|d| {
+            Json::obj([
+                ("from", d.from.into()),
+                ("to", d.to.into()),
+                ("first_attempt", d.first_attempt.into()),
+                ("count", d.count.into()),
+            ])
+        });
+        let crashes = self.crashes.iter().map(|c| {
+            Json::obj([
+                ("node", c.node.into()),
+                ("at_iteration", c.at_iteration.into()),
+            ])
+        });
+        let stragglers = self.stragglers.iter().map(|f| {
+            Json::obj([
+                ("node", f.node.into()),
+                ("from", f.from.as_nanos().into()),
+                ("until", f.until.as_nanos().into()),
+                ("compute_mult", f.compute_mult.into()),
+            ])
+        });
+        Json::obj([
+            ("seed", self.seed.into()),
+            ("links", links.collect()),
+            ("drops", drops.collect()),
+            ("crashes", crashes.collect()),
+            ("stragglers", stragglers.collect()),
+        ])
     }
-}
 
-/// Serialize a plan as pretty-printed JSON. Virtual times are u64
-/// nanoseconds; floats use Rust's shortest round-trip representation, so
-/// `plan_from_json(&plan_to_json(p)) == p` holds bitwise.
-pub fn plan_to_json(plan: &FaultPlan) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"seed\": {},\n", plan.seed));
-    s.push_str("  \"links\": [");
-    for (i, l) in plan.links.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    /// Read a plan back from [`FaultPlan::to_json`]'s object. Member order
+    /// is irrelevant, a missing `seed` or fault list reads as zero or
+    /// empty, and unknown members are ignored (reproducer files carry
+    /// their `workload`/`topology` tags in the same object).
+    ///
+    /// # Errors
+    /// A fault list that is not an array, or a fault with a missing or
+    /// mistyped field, named by its position (`links[0]: missing "a"`).
+    pub fn from_json(doc: &Json) -> Result<FaultPlan, String> {
+        let mut plan = FaultPlan::new();
+        if let Some(v) = doc.get("seed") {
+            plan.seed = v.num().ok_or("seed: expected a u64")?;
         }
-        s.push_str(&format!(
-            "\n    {{\"a\": {}, \"b\": {}, \"from\": {}, \"until\": {}, \
-             \"latency_mult\": {}, \"bandwidth_mult\": {}}}",
-            l.a,
-            l.b,
-            l.from.as_nanos(),
-            l.until.as_nanos(),
-            f64_json(l.latency_mult),
-            f64_json(l.bandwidth_mult)
-        ));
-    }
-    s.push_str(if plan.links.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    s.push_str("  \"drops\": [");
-    for (i, d) in plan.drops.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"from\": {}, \"to\": {}, \"first_attempt\": {}, \"count\": {}}}",
-            d.from, d.to, d.first_attempt, d.count
-        ));
-    }
-    s.push_str(if plan.drops.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    s.push_str("  \"crashes\": [");
-    for (i, c) in plan.crashes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"node\": {}, \"at_iteration\": {}}}",
-            c.node, c.at_iteration
-        ));
-    }
-    s.push_str(if plan.crashes.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    s.push_str("  \"stragglers\": [");
-    for (i, f) in plan.stragglers.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"node\": {}, \"from\": {}, \"until\": {}, \"compute_mult\": {}}}",
-            f.node,
-            f.from.as_nanos(),
-            f.until.as_nanos(),
-            f64_json(f.compute_mult)
-        ));
-    }
-    s.push_str(if plan.stragglers.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
-    });
-    s.push('}');
-    s
-}
-
-/// A parsed JSON value (minimal: just what fault plans need; booleans and
-/// null are accepted for completeness even though no plan field uses them).
-#[derive(Debug, Clone)]
-#[allow(dead_code)]
-enum Jv {
-    Obj(Vec<(String, Jv)>),
-    Arr(Vec<Jv>),
-    /// Numbers stay as source text so u64 seeds survive without f64 loss.
-    Num(String),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Jv, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Jv::Str(self.string()?)),
-            Some(b't') => self.literal("true", Jv::Bool(true)),
-            Some(b'f') => self.literal("false", Jv::Bool(false)),
-            Some(b'n') => self.literal("null", Jv::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Jv) -> Result<Jv, String> {
-        self.skip_ws();
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Jv, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(self.err("expected a number"));
-        }
-        Ok(Jv::Num(
-            std::str::from_utf8(&self.b[start..self.i])
-                .unwrap()
-                .to_string(),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(c) => {
-                    // Copy the full UTF-8 sequence starting at this byte.
-                    let ch_len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let s = std::str::from_utf8(&self.b[self.i..self.i + ch_len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.i += ch_len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Jv, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Jv::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Jv::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Jv, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Jv::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Jv::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document into a [`Jv`] tree (crate-internal helper shared
-/// with the reproducer format in the bench crate via [`parse_json`]).
-fn parse_document(s: &str) -> Result<Jv, String> {
-    let mut p = Parser::new(s);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
-}
-
-impl Jv {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Jv> {
-        match self {
-            Jv::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Jv::Num(s) => s.parse().map_err(|_| format!("{what}: not a u64: {s}")),
-            _ => Err(format!("{what}: expected a number")),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Jv::Num(s) => s.parse().map_err(|_| format!("{what}: not a float: {s}")),
-            _ => Err(format!("{what}: expected a number")),
-        }
-    }
-
-    fn as_usize(&self, what: &str) -> Result<usize, String> {
-        Ok(self.as_u64(what)? as usize)
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Jv], String> {
-        match self {
-            Jv::Arr(items) => Ok(items),
-            _ => Err(format!("{what}: expected an array")),
-        }
-    }
-}
-
-fn req<'a>(obj: &'a Jv, key: &str, what: &str) -> Result<&'a Jv, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{what}: missing \"{key}\""))
-}
-
-/// Parse a JSON document and return its top-level **string** field `key`
-/// (`Ok(None)` when the field is absent). The bench crate's reproducer
-/// format wraps a fault plan with `workload`/`topology` tags in the *same*
-/// object — [`plan_from_json`] ignores the extra fields, and this helper
-/// reads them back without exposing the parser.
-pub fn string_field(s: &str, key: &str) -> Result<Option<String>, String> {
-    let doc = parse_document(s)?;
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Jv::Str(v)) => Ok(Some(v.clone())),
-        Some(_) => Err(format!("\"{key}\": expected a string")),
-    }
-}
-
-/// Parse a plan from the JSON produced by [`plan_to_json`] (field order is
-/// irrelevant; the empty arrays may be omitted entirely; unknown fields are
-/// ignored, which the reproducer wrapper format relies on).
-pub fn plan_from_json(s: &str) -> Result<FaultPlan, String> {
-    let doc = parse_document(s)?;
-    plan_from_jv(&doc)
-}
-
-fn plan_from_jv(doc: &Jv) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::new();
-    plan.seed = match doc.get("seed") {
-        Some(v) => v.as_u64("seed")?,
-        None => 0,
-    };
-    if let Some(v) = doc.get("links") {
-        for (i, l) in v.as_arr("links")?.iter().enumerate() {
-            let what = format!("links[{i}]");
+        for (what, l) in entries(doc, "links")? {
             plan.links.push(LinkFault {
-                a: req(l, "a", &what)?.as_usize(&what)?,
-                b: req(l, "b", &what)?.as_usize(&what)?,
-                from: SimTime(req(l, "from", &what)?.as_u64(&what)?),
-                until: SimTime(req(l, "until", &what)?.as_u64(&what)?),
-                latency_mult: req(l, "latency_mult", &what)?.as_f64(&what)?,
-                bandwidth_mult: req(l, "bandwidth_mult", &what)?.as_f64(&what)?,
+                a: field(l, "a", &what)?,
+                b: field(l, "b", &what)?,
+                from: SimTime(field(l, "from", &what)?),
+                until: SimTime(field(l, "until", &what)?),
+                latency_mult: field(l, "latency_mult", &what)?,
+                bandwidth_mult: field(l, "bandwidth_mult", &what)?,
             });
         }
-    }
-    if let Some(v) = doc.get("drops") {
-        for (i, d) in v.as_arr("drops")?.iter().enumerate() {
-            let what = format!("drops[{i}]");
+        for (what, d) in entries(doc, "drops")? {
             plan.drops.push(DropFault {
-                from: req(d, "from", &what)?.as_usize(&what)?,
-                to: req(d, "to", &what)?.as_usize(&what)?,
-                first_attempt: req(d, "first_attempt", &what)?.as_u64(&what)?,
-                count: req(d, "count", &what)?.as_u64(&what)?,
+                from: field(d, "from", &what)?,
+                to: field(d, "to", &what)?,
+                first_attempt: field(d, "first_attempt", &what)?,
+                count: field(d, "count", &what)?,
             });
         }
-    }
-    if let Some(v) = doc.get("crashes") {
-        for (i, c) in v.as_arr("crashes")?.iter().enumerate() {
-            let what = format!("crashes[{i}]");
+        for (what, c) in entries(doc, "crashes")? {
             plan.crashes.push(CrashFault {
-                node: req(c, "node", &what)?.as_usize(&what)?,
-                at_iteration: req(c, "at_iteration", &what)?.as_u64(&what)?,
+                node: field(c, "node", &what)?,
+                at_iteration: field(c, "at_iteration", &what)?,
             });
         }
-    }
-    if let Some(v) = doc.get("stragglers") {
-        for (i, f) in v.as_arr("stragglers")?.iter().enumerate() {
-            let what = format!("stragglers[{i}]");
+        for (what, f) in entries(doc, "stragglers")? {
             plan.stragglers.push(StragglerFault {
-                node: req(f, "node", &what)?.as_usize(&what)?,
-                from: SimTime(req(f, "from", &what)?.as_u64(&what)?),
-                until: SimTime(req(f, "until", &what)?.as_u64(&what)?),
-                compute_mult: req(f, "compute_mult", &what)?.as_f64(&what)?,
+                node: field(f, "node", &what)?,
+                from: SimTime(field(f, "from", &what)?),
+                until: SimTime(field(f, "until", &what)?),
+                compute_mult: field(f, "compute_mult", &what)?,
             });
         }
+        Ok(plan)
     }
-    Ok(plan)
+}
+
+/// The elements of the optional array member `key`, each with its
+/// `key[i]` label for error messages.
+fn entries<'a>(doc: &'a Json, key: &str) -> Result<Vec<(String, &'a Json)>, String> {
+    let Some(v) = doc.get(key) else {
+        return Ok(Vec::new());
+    };
+    let items = v
+        .as_array()
+        .ok_or_else(|| format!("{key}: expected an array"))?;
+    Ok(items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| (format!("{key}[{i}]"), item))
+        .collect())
+}
+
+/// The number member `key` of `obj`, read as a `T`.
+fn field<T: FromStr>(obj: &Json, key: &str, what: &str) -> Result<T, String> {
+    let v = obj
+        .get(key)
+        .ok_or_else(|| format!("{what}: missing \"{key}\""))?;
+    v.num()
+        .ok_or_else(|| format!("{what}: \"{key}\" is not a number of the right type"))
 }
 
 // ---------------------------------------------------------------------------
@@ -698,10 +426,22 @@ pub fn shrink(plan: &FaultPlan, still_fails: &mut dyn FnMut(&FaultPlan) -> bool)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::time::us;
 
     fn sample_plan() -> FaultPlan {
         FaultPlan::from_seed(7, 4, SimTime::ZERO + us(400.0), 10)
+    }
+
+    /// `plan` written as a document and read back.
+    fn round_trip(plan: &FaultPlan) -> (String, FaultPlan) {
+        let text = json::write(&plan.to_json());
+        let back = from_text(&text).expect("parse");
+        (text, back)
+    }
+
+    fn from_text(text: &str) -> Result<FaultPlan, String> {
+        FaultPlan::from_json(&json::parse(text)?)
     }
 
     #[test]
@@ -716,33 +456,32 @@ mod tests {
                 latency_mult: 1.5000000000000002,
                 bandwidth_mult: 0.1,
             });
-        let json = plan_to_json(&plan);
-        let back = plan_from_json(&json).expect("parse");
-        assert_eq!(plan, back, "round-trip must be exact:\n{json}");
+        let (text, back) = round_trip(&plan);
+        assert_eq!(plan, back, "round-trip must be exact:\n{text}");
         // And a second trip is byte-stable.
-        assert_eq!(json, plan_to_json(&back));
+        assert_eq!(text, round_trip(&back).0);
     }
 
     #[test]
     fn empty_plan_round_trips() {
         let plan = FaultPlan::new();
-        let back = plan_from_json(&plan_to_json(&plan)).unwrap();
-        assert_eq!(plan, back);
+        assert_eq!(plan, round_trip(&plan).1);
     }
 
     #[test]
     fn missing_sections_default_to_empty() {
-        let plan = plan_from_json("{\"seed\": 9}").unwrap();
+        let plan = from_text("{\"seed\": 9}").unwrap();
         assert_eq!(plan.seed, 9);
         assert!(plan.is_empty());
     }
 
     #[test]
     fn parse_errors_are_reported() {
-        assert!(plan_from_json("{").is_err());
-        assert!(plan_from_json("{\"links\": [{\"a\": 0}]}").is_err());
-        assert!(plan_from_json("{} trailing").is_err());
-        assert!(plan_from_json("{\"seed\": \"x\"}").is_err());
+        assert!(from_text("{").is_err());
+        assert!(from_text("{\"links\": [{\"a\": 0}]}").is_err());
+        assert!(from_text("{} trailing").is_err());
+        assert!(from_text("{\"seed\": \"x\"}").is_err());
+        assert!(from_text("{\"drops\": {}}").is_err());
     }
 
     #[test]
@@ -751,8 +490,7 @@ mod tests {
             seed: u64::MAX - 1,
             ..Default::default()
         };
-        let back = plan_from_json(&plan_to_json(&plan)).unwrap();
-        assert_eq!(back.seed, u64::MAX - 1);
+        assert_eq!(round_trip(&plan).1.seed, u64::MAX - 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@ mod engine;
 pub mod fault;
 pub mod hb;
 pub mod intern;
+pub mod json;
 pub mod lock;
 mod resource;
 // The one module with `unsafe` code: agent stacks and the switch routine.
@@ -43,13 +44,12 @@ pub mod trace;
 
 pub use agent::{AgentCtx, AgentId, WaitTimedOut};
 pub use batch::{default_jobs, env_jobs, par_map};
-pub use chaos::{
-    classify_error, plan_from_json, plan_to_json, shrink, string_field, ChaosOutcome, FaultAtom,
-};
+pub use chaos::{classify_error, shrink, ChaosOutcome, FaultAtom};
 pub use engine::{BlockedInfo, Engine, SimError};
 pub use fault::{mix64, CrashFault, DropFault, FaultPlan, FaultState, LinkFault, StragglerFault};
 pub use hb::{AsyncClock, DiagKind, Diagnostic, HbEvent, HbEventKind, HbTracker, VClock};
 pub use intern::{Label, Sym, SymPool};
+pub use json::Json;
 pub use resource::{Reservation, Resource, ResourceStats};
 pub use sync::{Barrier, Cmp, Flag, SignalOp};
 pub use time::{ms, ns, us, SimDur, SimTime};

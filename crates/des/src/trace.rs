@@ -12,6 +12,7 @@
 
 use crate::agent::AgentId;
 use crate::intern::{Sym, SymPool};
+use crate::json::{self, Json};
 use crate::time::{SimDur, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -223,9 +224,6 @@ impl Trace {
     /// Each agent becomes a "thread"; spans become complete (`ph:"X"`)
     /// events with microsecond timestamps.
     pub fn to_chrome_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut agents: Vec<(AgentId, Sym)> = Vec::new();
         for s in &self.spans {
             if !agents.iter().any(|(id, _)| *id == s.agent) {
@@ -233,37 +231,33 @@ impl Trace {
             }
         }
         agents.sort_by_key(|(id, _)| *id);
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        for (id, name) in &agents {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                id.0,
-                esc(&self.resolve(*name))
-            ));
-        }
-        for s in &self.spans {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\
-                 \"dur\":{:.3},\"pid\":0,\"tid\":{}}}",
-                esc(&self.resolve(s.label)),
-                s.category.tag(),
-                s.start.as_micros_f64(),
-                s.dur().as_micros_f64(),
-                s.agent.0
-            ));
-        }
-        out.push_str("\n]}");
-        out
+        let threads = agents.iter().map(|(id, name)| {
+            Json::obj([
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", 0u64.into()),
+                ("tid", id.0.into()),
+                (
+                    "args",
+                    Json::obj([("name", Json::from(&*self.resolve(*name)))]),
+                ),
+            ])
+        });
+        let spans = self.spans.iter().map(|s| {
+            Json::obj([
+                ("name", Json::from(&*self.resolve(s.label))),
+                ("cat", s.category.tag().into()),
+                ("ph", "X".into()),
+                ("ts", Json::fixed(s.start.as_micros_f64(), 3)),
+                ("dur", Json::fixed(s.dur().as_micros_f64(), 3)),
+                ("pid", 0u64.into()),
+                ("tid", s.agent.0.into()),
+            ])
+        });
+        json::write(&Json::obj([(
+            "traceEvents",
+            threads.chain(spans).collect(),
+        )]))
     }
 
     /// Render a fixed-width ASCII timeline grouped by agent name — the
@@ -448,19 +442,29 @@ mod tests {
             label: t.intern("halo \"put\""),
         };
         t.push(s);
-        let json = t.to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"tid\":3"));
-        assert!(json.contains("\\\"put\\\""), "labels must be escaped");
-        assert!(json.contains("\"ts\":1.000"));
-        assert!(json.contains("\"dur\":2.500"));
-        assert!(json.contains("thread_name"));
+        let doc = json::parse(&t.to_chrome_json()).expect("valid JSON");
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        assert_eq!(events.len(), 2);
+        let (thread, span) = (&events[0], &events[1]);
+        assert_eq!(
+            thread.get("name").and_then(Json::as_str),
+            Some("thread_name")
+        );
+        let thread_name = thread.get("args").and_then(|a| a.get("name"));
+        assert_eq!(thread_name.and_then(Json::as_str), Some("gpu0.\"comm\""));
+        assert_eq!(
+            span.get("name").and_then(Json::as_str),
+            Some("halo \"put\"")
+        );
+        assert_eq!(span.get("tid").and_then(Json::num::<u64>), Some(3));
+        assert_eq!(span.get("ts"), Some(&Json::Num("1.000".into())));
+        assert_eq!(span.get("dur"), Some(&Json::Num("2.500".into())));
     }
 
     #[test]
     fn chrome_json_empty_trace() {
-        assert_eq!(Trace::new().to_chrome_json(), "{\"traceEvents\":[\n\n]}");
+        let doc = json::parse(&Trace::new().to_chrome_json()).expect("valid JSON");
+        assert_eq!(doc, Json::obj([("traceEvents", Json::Arr(Vec::new()))]));
     }
 
     #[test]

@@ -810,6 +810,32 @@ impl Topology {
         }
     }
 
+    /// The one cut-through charging loop: the message head reaches hop
+    /// *k+1* after its forwarding latency and once the link drains; each link
+    /// is held for its own serialization time. `reserve(link, at, wire)`
+    /// books a link for `wire`, its time at `bw_scale` times the link
+    /// bandwidth, and returns the booking's `(start, end)`.
+    fn cut_through(
+        &self,
+        route: &[usize],
+        bytes: u64,
+        now: SimTime,
+        bw_scale: f64,
+        mut reserve: impl FnMut(usize, SimTime, SimDur) -> (SimTime, SimTime),
+    ) -> SimDur {
+        let mut head = now;
+        let mut finish = now;
+        for (i, &idx) in route.iter().enumerate() {
+            let link = &self.links[idx];
+            if i > 0 {
+                head += link.hop_latency;
+            }
+            let wire = CostModel::bw_time(bytes, link.gbps * bw_scale);
+            (head, finish) = reserve(idx, head, wire);
+        }
+        finish.since(now)
+    }
+
     fn route(&self, src: Endpoint, dst: Endpoint) -> &[usize] {
         match (src, dst) {
             (Endpoint::Dev(s), Endpoint::Dev(d)) if s != d => &self.dev_routes[s.0][d.0],
@@ -827,10 +853,9 @@ impl Topology {
 ///
 /// [`Transport::charge`] *reserves* — calling it moves real link state and
 /// perturbs any concurrently simulated run. A `LinkClocks` instance lets a
-/// static analysis (the dace cost predictor) replay the exact cut-through
-/// charging arithmetic of [`Transport::charge_scaled`] — same wire
-/// rounding via [`CostModel::bw_time`], same head advancement, same
-/// queue-behind-earlier-traffic clamp — against private state.
+/// static analysis (the dace cost predictor) run the same cut-through
+/// charging loop as [`Transport::charge_scaled`] against private state:
+/// only the reservation step differs.
 #[derive(Debug, Clone)]
 pub struct LinkClocks {
     /// `busy[i]` mirrors link *i*'s `Resource` busy-until clock.
@@ -851,23 +876,14 @@ impl LinkClocks {
         now: SimTime,
         bw_scale: f64,
     ) -> SimDur {
-        let mut head = now;
-        let mut finish = now;
-        for (i, &idx) in topo.route_links(src, dst).iter().enumerate() {
-            let link = &topo.links[idx];
-            if i > 0 {
-                head += link.hop_latency;
-            }
-            let wire = CostModel::bw_time(bytes, link.gbps * bw_scale);
+        let route = topo.route_links(src, dst);
+        topo.cut_through(route, bytes, now, bw_scale, |idx, at, wire| {
             // Resource::reserve: start at max(arrival, busy_until), occupy
             // for the serialization time, push busy_until to the end.
-            let start = head.max(self.busy[idx]);
-            let end = start + wire;
-            self.busy[idx] = end;
-            head = start;
-            finish = end;
-        }
-        finish.since(now)
+            let start = at.max(self.busy[idx]);
+            self.busy[idx] = start + wire;
+            (start, start + wire)
+        })
     }
 
     /// The mirrored busy-until clock of link `idx` (indices as in
@@ -952,8 +968,9 @@ impl Transport {
         self.charge_route(self.topo.route(src, dst), bytes, now, bw_scale, inv_bw)
     }
 
-    /// The cut-through charging core over an explicit link sequence (the
-    /// base route, or a healed route relayed through intermediate devices).
+    /// Charge an explicit link sequence (the base route, or a healed route
+    /// relayed through intermediate devices), reserving the real links;
+    /// `inv_bw` stretches each hop's serialization time.
     fn charge_route(
         &self,
         route: &[usize],
@@ -962,19 +979,12 @@ impl Transport {
         bw_scale: f64,
         inv_bw: f64,
     ) -> SimDur {
-        let mut head = now;
-        let mut finish = now;
-        for (i, &idx) in route.iter().enumerate() {
-            let link = &self.topo.links[idx];
-            if i > 0 {
-                head += link.hop_latency;
-            }
-            let wire = CostModel::bw_time(bytes, link.gbps * bw_scale) * inv_bw;
-            let r = link.res.reserve(head, wire);
-            head = r.start;
-            finish = r.end;
-        }
-        finish.since(now)
+        let links = &self.topo.links;
+        self.topo
+            .cut_through(route, bytes, now, bw_scale, |idx, at, wire| {
+                let r = links[idx].res.reserve(at, wire * inv_bw);
+                (r.start, r.end)
+            })
     }
 
     /// Dispatch a `memcpyAsync` between two places: label + duration.
