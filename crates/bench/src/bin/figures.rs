@@ -421,39 +421,24 @@ fn degraded() {
     write_json("degraded", degraded_json(&rows));
 }
 
-/// The checker-overhead table; `false` when a row is not clean or its
-/// checked run is not bit-identical to the unchecked one.
+/// The checker table; `false` when a row is not clean or its checked run
+/// is not bit-identical to the unchecked one.
 fn check() -> bool {
-    println!("== Correctness tooling — happens-before checker overhead ==");
+    println!("== Correctness tooling — happens-before checker ==");
     println!(
-        "{:<28} {:>10} {:>10} {:>12} {:>12} {:>9} {:>7} {:>13}",
-        "workload",
-        "hb-events",
-        "accesses",
-        "wall off",
-        "wall on",
-        "factor",
-        "clean",
-        "bit-identical"
+        "{:<28} {:>10} {:>10} {:>7} {:>13}",
+        "workload", "hb-events", "accesses", "clean", "bit-identical"
     );
     let mut ok = true;
     for r in check_overhead() {
         ok &= r.clean && r.bit_identical;
-        let factor = r.wall_on.as_secs_f64() / r.wall_off.as_secs_f64().max(1e-9);
         println!(
-            "{:<28} {:>10} {:>10} {:>12} {:>12} {:>8.2}x {:>7} {:>13}",
-            r.workload,
-            r.events,
-            r.accesses,
-            format!("{:.2?}", r.wall_off),
-            format!("{:.2?}", r.wall_on),
-            factor,
-            r.clean,
-            r.bit_identical
+            "{:<28} {:>10} {:>10} {:>7} {:>13}",
+            r.workload, r.events, r.accesses, r.clean, r.bit_identical
         );
     }
     println!("(the checker never charges virtual time: totals and numerics are identical;");
-    println!(" the factor is host wall clock, paid only when a run opts in)");
+    println!(" `perf`'s hb.overhead_ms_per_op measures its host cost)");
     ok
 }
 
@@ -631,31 +616,18 @@ fn status(result: Result<(), String>) -> i32 {
     }
 }
 
-/// `figures des_core [--check]`: run the DES-core micro-benchmarks.
-/// Without `--check`, writes `BENCH_des_core.json`: the deterministic rows
-/// (virtual end times and event counts, byte-stable across machines and
-/// thread counts) and a measured events/sec snapshot. With `--check`,
-/// regenerates the deterministic rows, renders them with the committed
-/// file's own `measured` member — the wall-clock half is never compared —
-/// and requires the result to equal the committed file byte for byte.
-fn des_core(check: bool) -> i32 {
-    println!("== DES core — engine hot-path throughput ==");
-    let rows = des_core_rows();
-    println!(
-        "{:<28} {:>14} {:>10} {:>12} {:>14}",
-        "workload", "virtual end", "events", "wall", "events/sec"
-    );
+/// `figures des_core [--check]`: run the DES-core workloads on `jobs`
+/// workers. Without `--check`, writes `BENCH_des_core.json`: virtual end
+/// times and event counts, byte-stable across machines and worker counts.
+/// With `--check`, requires the committed file to equal the regenerated
+/// one byte for byte.
+fn des_core(check: bool, jobs: usize) -> i32 {
+    println!("== DES core — engine hot-path workloads ==");
+    let rows = des_core_rows(jobs);
+    println!("{:<28} {:>14} {:>10}", "workload", "virtual end", "events");
     for r in &rows {
-        println!(
-            "{:<28} {:>12}ns {:>10} {:>12} {:>14.0}",
-            r.name,
-            r.end_ns,
-            r.events,
-            format!("{:.2?}", r.wall),
-            r.events_per_sec()
-        );
+        println!("{:<28} {:>12}ns {:>10}", r.name, r.end_ns, r.events);
     }
-    let path = "BENCH_des_core.json";
     let deterministic = rows
         .iter()
         .map(|r| {
@@ -666,27 +638,13 @@ fn des_core(check: bool) -> i32 {
             ])
         })
         .collect();
-    let measured = if check {
-        let committed = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| json::parse(&text));
-        match committed {
-            Ok(doc) => doc.get("measured").cloned().unwrap_or(Json::Null),
-            Err(e) => return status(Err(format!("reading {path}: {e}"))),
-        }
-    } else {
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("name", r.name.into()),
-                    ("wall_ns", r.wall.as_nanos().into()),
-                    ("events_per_sec", Json::fixed(r.events_per_sec(), 0)),
-                ])
-            })
-            .collect()
-    };
-    let body = Json::obj([("deterministic", deterministic), ("measured", measured)]);
-    status(check_or_write("des_core", path, &json::write(&body), check))
+    let body = Json::obj([("deterministic", deterministic)]);
+    status(check_or_write(
+        "des_core",
+        "BENCH_des_core.json",
+        &json::write(&body),
+        check,
+    ))
 }
 
 /// `figures traffic [--check]`: sweep one data-parallel, tensor-parallel,
@@ -695,8 +653,7 @@ fn des_core(check: bool) -> i32 {
 /// Without `--check`, writes `BENCH_traffic.json`. With `--check`,
 /// regenerates the sweep and requires the committed file to match byte
 /// for byte — the sweep is pure virtual time, so the whole file is
-/// deterministic (unlike `BENCH_des_core.json`, which carries a
-/// wall-clock snapshot half).
+/// deterministic.
 fn traffic(check: bool, jobs: usize) -> i32 {
     eprintln!("[traffic sweep on {jobs} workers]");
     println!("== AI traffic patterns — cluster fabrics at capacity ==");
@@ -984,7 +941,7 @@ fn main() {
         std::process::exit(match gate {
             "verify" => verify(jobs),
             "chaos" => chaos(seeds.unwrap_or_default(), jobs),
-            "des_core" => des_core(check),
+            "des_core" => des_core(check, jobs),
             "traffic" => traffic(check, jobs),
             _ => cost(check, jobs),
         });

@@ -642,18 +642,13 @@ pub fn baselines_jobs(jobs: usize) -> Vec<((ChaosWorkload, TopologyKind), Baseli
     cells.into_iter().zip(bases).collect()
 }
 
-/// Run the full sweep: `seeds` seeded schedules plus the degraded-mode
-/// schedules for every (workload, topology) cell. Pure — writes nothing.
-/// Uses [`sim_des::default_jobs`] workers.
-pub fn chaos_sweep_cases(seeds: u64) -> Vec<ChaosCase> {
-    chaos_sweep_cases_jobs(seeds, sim_des::default_jobs())
-}
-
-/// [`chaos_sweep_cases`] on an explicit worker count. The case list and
-/// every outcome are independent of `jobs`: specs are enumerated serially
-/// in deterministic order, each schedule is a self-contained simulation,
-/// and [`sim_des::par_map`] collects results by input position — so the
-/// rendered report is byte-identical at every thread count.
+/// Run the full sweep on `jobs` workers: `seeds` seeded schedules plus the
+/// degraded-mode schedules for every (workload, topology) cell. Pure —
+/// writes nothing. The case list and every outcome are independent of
+/// `jobs`: specs are enumerated serially in deterministic order, each
+/// schedule is a self-contained simulation, and [`sim_des::par_map`]
+/// collects results by input position — so the rendered report is
+/// byte-identical at every thread count.
 pub fn chaos_sweep_cases_jobs(seeds: u64, jobs: usize) -> Vec<ChaosCase> {
     let horizon = SimTime::ZERO + us(CHAOS_HORIZON_US);
     let bases = baselines_jobs(jobs);
@@ -774,18 +769,13 @@ pub fn shrink_demo() -> ShrinkDemo {
     }
 }
 
-/// Run the complete chaos engine: the sweep plus (when `with_demo`) the
-/// seeded-violation shrink demo. Uses [`sim_des::default_jobs`] workers.
+/// Run the complete chaos engine on `jobs` workers: the sweep plus (when
+/// `with_demo`) the seeded-violation shrink demo.
 ///
 /// # Errors
 /// A degenerate budget (`seeds == 0`) is an error, not an empty report: a
-/// sweep that explores nothing must never read as a clean gate.
-pub fn chaos_sweep(seeds: u64, with_demo: bool) -> Result<ChaosReport, String> {
-    chaos_sweep_jobs(seeds, with_demo, sim_des::default_jobs())
-}
-
-/// [`chaos_sweep`] on an explicit worker count. `jobs == 0` is rejected
-/// like a zero seed budget (the caller asked for a sweep that cannot run).
+/// sweep that explores nothing must never read as a clean gate. `jobs == 0`
+/// is rejected the same way (the caller asked for a sweep that cannot run).
 pub fn chaos_sweep_jobs(seeds: u64, with_demo: bool, jobs: usize) -> Result<ChaosReport, String> {
     if seeds == 0 {
         return Err(format!(

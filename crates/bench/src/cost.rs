@@ -189,8 +189,3 @@ pub fn cost_sweep_jobs(jobs: usize) -> CostSweep {
     });
     CostSweep { rows, ledgers }
 }
-
-/// [`cost_sweep_jobs`] on the default worker count.
-pub fn cost_sweep() -> CostSweep {
-    cost_sweep_jobs(sim_des::default_jobs())
-}

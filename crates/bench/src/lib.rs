@@ -2,8 +2,7 @@
 //!
 //! One experiment function per figure of the paper. Each returns structured
 //! rows that the `figures` binary prints as tables (and EXPERIMENTS.md
-//! records against the paper's reported values). Criterion benches in
-//! `benches/` wrap the same functions.
+//! records against the paper's reported values).
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -596,14 +595,10 @@ pub struct TopoRow {
 /// [`gpu_sim::Transport`]. Dedicated-link topologies (NVLink all-to-all)
 /// stay flat as pairs are added; routed topologies with shared hops
 /// (PCIe host bridges, ring arcs, the two-node NIC) queue and slow down.
-pub fn topo_contention() -> Vec<TopoRow> {
-    topo_contention_jobs(sim_des::default_jobs())
-}
-
-/// [`topo_contention`] on an explicit worker count: the (topology, pairs)
-/// cells are independent (fresh link state each), so they fan out across
-/// `jobs` workers; rows come back in deterministic cell order regardless
-/// of completion order.
+///
+/// The (topology, pairs) cells are independent (fresh link state each),
+/// so they fan out across `jobs` workers; rows come back in deterministic
+/// cell order regardless of completion order.
 pub fn topo_contention_jobs(jobs: usize) -> Vec<TopoRow> {
     use gpu_sim::{CostModel, DevId, Topology, TopologyKind, Transport};
     use sim_des::SimTime;
@@ -818,17 +813,14 @@ fn overhead_pct(clean: SimDur, faulted: SimDur) -> f64 {
     (faulted.as_nanos() as f64 / clean.as_nanos() as f64 - 1.0) * 100.0
 }
 
-/// One row of the checker-overhead table: the same workload run with the
+/// One row of the checker table: the same workload run with the
 /// happens-before checker off and on. The checker charges no virtual time
-/// (by construction — it only observes), so the cost is host wall clock.
+/// (by construction — it only observes); its host cost is measured by
+/// `perf` (`hb.overhead_ms_per_op`).
 #[derive(Debug, Clone)]
 pub struct CheckRow {
     /// Workload label.
     pub workload: String,
-    /// Host wall clock of the unchecked run.
-    pub wall_off: std::time::Duration,
-    /// Host wall clock of the checked run.
-    pub wall_on: std::time::Duration,
     /// Happens-before events recorded by the checked run.
     pub events: usize,
     /// Memory accesses race-checked.
@@ -839,26 +831,19 @@ pub struct CheckRow {
     pub bit_identical: bool,
 }
 
-/// Correctness-tooling overhead: rerun Jacobi and CG with
+/// Correctness tooling: rerun Jacobi and CG with
 /// [`Machine::with_checker`](gpu_sim::Machine::with_checker) enabled and
-/// compare host wall clock against the unchecked run, asserting virtual
-/// time and numerics are untouched.
+/// compare against the unchecked run, asserting virtual time and numerics
+/// are untouched.
 pub fn check_overhead() -> Vec<CheckRow> {
-    use std::time::Instant;
     let mut rows = Vec::new();
     {
         let cfg = StencilConfig::square2d(66, 20, 4);
-        let t0 = Instant::now();
         let off = Variant::CpuFree.run(&cfg);
-        let wall_off = t0.elapsed();
-        let t1 = Instant::now();
         let on = Variant::CpuFree.run(&cfg.clone().with_check());
-        let wall_on = t1.elapsed();
         let report = on.check.as_ref().expect("checker enabled");
         rows.push(CheckRow {
             workload: "jacobi2d 66x66 x20, 4 GPUs".into(),
-            wall_off,
-            wall_on,
             events: report.events,
             accesses: report.accesses,
             clean: report.clean(),
@@ -867,17 +852,11 @@ pub fn check_overhead() -> Vec<CheckRow> {
     }
     {
         let prob = cpufree_solvers::PoissonProblem::new(34, 34, 15, 4);
-        let t0 = Instant::now();
         let off = cpufree_solvers::run_cpu_free(&prob, ExecMode::Full);
-        let wall_off = t0.elapsed();
-        let t1 = Instant::now();
         let on = cpufree_solvers::run_cpu_free(&prob.clone().with_check(), ExecMode::Full);
-        let wall_on = t1.elapsed();
         let report = on.check.as_ref().expect("checker enabled");
         rows.push(CheckRow {
             workload: "cg 34x34 x15, 4 PEs".into(),
-            wall_off,
-            wall_on,
             events: report.events,
             accesses: report.accesses,
             clean: report.clean(),
@@ -900,13 +879,10 @@ pub fn speedup_pct(baseline: SimDur, ours: SimDur) -> f64 {
 /// report per (program, stage, GPU count); a conforming corpus is all
 /// clean. The `figures verify` subcommand and the CI `verify` job gate on
 /// this.
-pub fn verify_corpus() -> Vec<dace_sim::verify::VerifyReport> {
-    verify_corpus_jobs(sim_des::default_jobs())
-}
-
-/// [`verify_corpus`] on an explicit worker count: each (program, GPU count)
-/// cell verifies its four pipeline stages independently on the pool; the
-/// flattened report list keeps the serial emission order.
+///
+/// Each (program, GPU count) cell verifies its four pipeline stages
+/// independently on a pool of `jobs` workers; the flattened report list
+/// keeps the serial emission order.
 pub fn verify_corpus_jobs(jobs: usize) -> Vec<dace_sim::verify::VerifyReport> {
     use dace_sim::transform::{
         gpu_persistent_kernel, mpi_to_nvshmem_with, nvshmem_array, PutGranularity,
@@ -964,54 +940,39 @@ pub fn verify_corpus_jobs(jobs: usize) -> Vec<dace_sim::verify::VerifyReport> {
     per_cell.into_iter().flatten().collect()
 }
 
-/// One row of the DES-core micro-benchmark (`figures des_core`).
-///
-/// `end_ns` and `events` come from the deterministic engine and are
-/// CI-gated against the committed `BENCH_des_core.json`; `wall` is host
-/// wall clock and is recorded as a snapshot only (the events/sec
-/// trajectory), never diffed.
+/// One row of the DES-core gate (`figures des_core`): virtual end time and
+/// event count of a deterministic engine workload, CI-gated against the
+/// committed `BENCH_des_core.json`.
 #[derive(Debug, Clone)]
 pub struct DesCoreRow {
     /// Workload name.
     pub name: &'static str,
-    /// Virtual end time of the run, nanoseconds (deterministic).
+    /// Virtual end time of the run, nanoseconds.
     pub end_ns: u64,
-    /// Engine events processed (deterministic).
+    /// Engine events processed.
     pub events: u64,
-    /// Host wall clock of the run (measured).
-    pub wall: std::time::Duration,
 }
 
-impl DesCoreRow {
-    /// Measured engine throughput, events per host second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// The DES hot-path workloads behind the committed events/sec trajectory:
+/// The DES hot-path workloads of the committed `BENCH_des_core.json`:
 /// a two-agent signal ping-pong (pure handoff cost), a trace-heavy busy
 /// loop (the interned-label span path), an 8-agent barrier storm, a batch
-/// of whole simulations on the [`sim_des::par_map`] pool, and a 64-agent
-/// flow-controlled ring allreduce on the NVLink ring preset.
-pub fn des_core_rows() -> Vec<DesCoreRow> {
+/// of whole simulations on a [`sim_des::par_map`] pool of `jobs` workers,
+/// and a 64-agent flow-controlled ring allreduce on the NVLink ring
+/// preset. The rows are identical at every `jobs`.
+pub fn des_core_rows(jobs: usize) -> Vec<DesCoreRow> {
     use sim_des::{ns, Category, Cmp, Engine, SignalOp};
-    use std::time::Instant;
 
-    fn timed(name: &'static str, f: impl Fn() -> (u64, u64)) -> DesCoreRow {
-        let _ = f(); // warmup
-        let t0 = Instant::now();
+    fn row(name: &'static str, f: impl FnOnce() -> (u64, u64)) -> DesCoreRow {
         let (end_ns, events) = f();
         DesCoreRow {
             name,
             end_ns,
             events,
-            wall: t0.elapsed(),
         }
     }
 
     vec![
-        timed("pingpong_2x2000", || {
+        row("pingpong_2x2000", || {
             let engine = Engine::new();
             engine.set_trace_enabled(false);
             let f1 = engine.flag(0);
@@ -1031,7 +992,7 @@ pub fn des_core_rows() -> Vec<DesCoreRow> {
             let end = engine.run().expect("pingpong run");
             (end.as_nanos(), engine.events_processed())
         }),
-        timed("trace_busy_4x1000", || {
+        row("trace_busy_4x1000", || {
             let engine = Engine::new();
             for a in 0..4u64 {
                 engine.spawn(format!("agent{a}"), move |ctx| {
@@ -1044,7 +1005,7 @@ pub fn des_core_rows() -> Vec<DesCoreRow> {
             let end = engine.run().expect("trace_busy run");
             (end.as_nanos(), engine.events_processed())
         }),
-        timed("barrier_8x200", || {
+        row("barrier_8x200", || {
             let engine = Engine::new();
             engine.set_trace_enabled(false);
             let bar = engine.barrier(8);
@@ -1059,8 +1020,8 @@ pub fn des_core_rows() -> Vec<DesCoreRow> {
             let end = engine.run().expect("barrier run");
             (end.as_nanos(), engine.events_processed())
         }),
-        timed("batch_8x_pingpong_2x200", || {
-            let runs = sim_des::par_map(sim_des::default_jobs(), (0..8u64).collect(), |_| {
+        row("batch_8x_pingpong_2x200", || {
+            let runs = sim_des::par_map(jobs, (0..8u64).collect(), |_| {
                 let engine = Engine::new();
                 engine.set_trace_enabled(false);
                 let f1 = engine.flag(0);
@@ -1084,7 +1045,7 @@ pub fn des_core_rows() -> Vec<DesCoreRow> {
             let events = runs.iter().map(|(_, n)| *n).sum();
             (end, events)
         }),
-        timed("ring_allreduce_64x63@serial", || {
+        row("ring_allreduce_64x63@serial", || {
             ring_allreduce(gpu_sim::TopologyKind::NvlinkRing, 64, 1)
         }),
     ]
@@ -1144,61 +1105,6 @@ fn ring_allreduce(kind: gpu_sim::TopologyKind, agents: usize, seed: u64) -> (u64
     (end.as_nanos(), eng.events_processed())
 }
 
-/// Minimal wall-clock micro-bench harness (std-only; the workspace builds
-/// offline, so the `benches/` binaries use this instead of criterion).
-pub mod harness {
-    use std::time::Instant;
-
-    /// Runs closures repeatedly and prints min/median wall-clock times.
-    pub struct Harness {
-        samples: usize,
-    }
-
-    impl Harness {
-        /// A harness taking `samples` timed samples per benchmark.
-        pub fn new(samples: usize) -> Self {
-            Harness {
-                samples: samples.max(1),
-            }
-        }
-
-        /// Time `f` (one warmup + `samples` measured runs) and print a row.
-        /// The closure's return value is consumed to keep it live.
-        pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) {
-            let _ = f(); // warmup
-            let mut times: Vec<u128> = (0..self.samples)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let out = f();
-                    let dt = t0.elapsed().as_nanos();
-                    drop(out);
-                    dt
-                })
-                .collect();
-            times.sort_unstable();
-            let min = times[0];
-            let median = times[times.len() / 2];
-            println!(
-                "{name:<44} min {:>12}  median {:>12}",
-                fmt_ns(min),
-                fmt_ns(median)
-            );
-        }
-    }
-
-    fn fmt_ns(ns: u128) -> String {
-        if ns >= 1_000_000_000 {
-            format!("{:.3} s", ns as f64 / 1e9)
-        } else if ns >= 1_000_000 {
-            format!("{:.3} ms", ns as f64 / 1e6)
-        } else if ns >= 1_000 {
-            format!("{:.3} us", ns as f64 / 1e3)
-        } else {
-            format!("{ns} ns")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1234,5 +1140,15 @@ mod tests {
                 base.per_iter
             );
         }
+    }
+
+    #[test]
+    fn des_core_rows_do_not_depend_on_jobs() {
+        let key = |rows: Vec<DesCoreRow>| -> Vec<(&str, u64, u64)> {
+            rows.into_iter()
+                .map(|r| (r.name, r.end_ns, r.events))
+                .collect()
+        };
+        assert_eq!(key(des_core_rows(1)), key(des_core_rows(4)));
     }
 }

@@ -190,14 +190,9 @@ fn run_cell(kind: TopologyKind, pattern: &'static str) -> TrafficRow {
 }
 
 /// The full sweep — every cluster fabric at capacity, every pattern — on
-/// [`sim_des::default_jobs`] workers.
-pub fn traffic_rows() -> Vec<TrafficRow> {
-    traffic_rows_jobs(sim_des::default_jobs())
-}
-
-/// [`traffic_rows`] on an explicit worker count. Cells are independent
-/// (fresh topology and link state each) and results come back in
-/// deterministic cell order, so the rows are identical at every `jobs`.
+/// `jobs` workers. Cells are independent (fresh topology and link state
+/// each) and results come back in deterministic cell order, so the rows
+/// are identical at every `jobs`.
 pub fn traffic_rows_jobs(jobs: usize) -> Vec<TrafficRow> {
     let cells: Vec<(TopologyKind, &'static str)> = TopologyKind::cluster_presets()
         .into_iter()

@@ -5,8 +5,8 @@
 //! unbounded recovery.
 
 use cpufree_bench::chaos::{
-    baseline, chaos_sweep, chaos_sweep_jobs, degraded_plans, run_degraded_schedule, run_schedule,
-    ChaosWorkload, CHAOS_HORIZON_US, CHAOS_ITERS, CHAOS_NODES,
+    baseline, chaos_sweep_jobs, degraded_plans, run_degraded_schedule, run_schedule, ChaosWorkload,
+    CHAOS_HORIZON_US, CHAOS_ITERS, CHAOS_NODES,
 };
 use gpu_sim::TopologyKind;
 use sim_des::{us, ChaosOutcome, FaultPlan, SimTime};
@@ -89,8 +89,9 @@ fn degraded_modes_hold_across_all_topologies() {
 /// identically: two sweeps render byte-for-byte the same report.
 #[test]
 fn chaos_sweep_is_deterministic() {
-    let a = chaos_sweep(3, false).expect("sweep").render();
-    let b = chaos_sweep(3, false).expect("sweep").render();
+    let jobs = sim_des::default_jobs();
+    let a = chaos_sweep_jobs(3, false, jobs).expect("sweep").render();
+    let b = chaos_sweep_jobs(3, false, jobs).expect("sweep").render();
     assert_eq!(a, b, "same seed budget must render identical reports");
     assert!(a.contains("schedules explored"));
 }

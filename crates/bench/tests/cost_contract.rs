@@ -17,11 +17,11 @@
 //! Everything here is virtual time, so the suite is deterministic on any
 //! host at any load.
 
-use cpufree_bench::cost::cost_sweep;
+use cpufree_bench::cost::cost_sweep_jobs;
 
 #[test]
 fn predictor_contract_holds_over_corpus_and_presets() {
-    let sweep = cost_sweep();
+    let sweep = cost_sweep_jobs(sim_des::default_jobs());
 
     // The sweep covers the full cross product: 4 program/stage combos x
     // 4 GPU counts x 7 presets.

@@ -273,19 +273,6 @@ impl AgentCtx {
         resume_unwind(Box::new(AbortSim(err)))
     }
 
-    /// Barrier arrival recorded as a trace span (category usually `Sync`).
-    pub fn barrier_traced<'a>(
-        &mut self,
-        barrier: Barrier,
-        category: Category,
-        label: impl Into<Label<'a>>,
-    ) {
-        let start = self.now();
-        self.barrier(barrier);
-        let end = self.now();
-        self.record(category, label, start, end);
-    }
-
     /// Apply a signal to a flag *now* (non-blocking, zero virtual time).
     pub fn signal(&self, flag: Flag, op: SignalOp, value: u64) {
         let mut g = self.shared.central.lock();

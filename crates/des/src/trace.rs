@@ -197,15 +197,6 @@ impl Trace {
         self.overlap(a, b).as_nanos() as f64 / busy as f64
     }
 
-    /// Per-category totals (raw sums), for summary tables.
-    pub fn totals_by_category(&self) -> BTreeMap<Category, SimDur> {
-        let mut map = BTreeMap::new();
-        for s in &self.spans {
-            *map.entry(s.category).or_insert(SimDur::ZERO) += s.dur();
-        }
-        map
-    }
-
     /// Merged, sorted interval list for a category.
     fn intervals(&self, category: Category) -> Vec<(u64, u64)> {
         let mut iv: Vec<(u64, u64)> = self

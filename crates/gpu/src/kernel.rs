@@ -26,13 +26,6 @@ pub struct GridInfo {
     pub threads_per_block: u32,
 }
 
-impl GridInfo {
-    /// Fraction of the device's execution resources this group owns.
-    pub fn resource_fraction(&self) -> f64 {
-        self.blocks_in_group as f64 / self.total_blocks as f64
-    }
-}
-
 /// Execution context handed to kernel bodies.
 ///
 /// In the simulator, "device code" is a Rust closure over this context:
@@ -131,11 +124,6 @@ impl<'a> KernelCtx<'a> {
         self.grid
             .as_ref()
             .expect("grid() called outside a cooperative kernel")
-    }
-
-    /// True when this is a cooperative (persistent) kernel.
-    pub fn is_cooperative(&self) -> bool {
-        self.grid.is_some()
     }
 
     /// Cooperative-groups grid-wide barrier (`grid.sync()`).

@@ -276,8 +276,7 @@ pub struct Topology {
     /// Ring embedding derived from the graph (see [`Topology::ring_order`]).
     ring: Vec<usize>,
     /// `node_of[dev]` = physical node (server) the device sits in —
-    /// single-node presets map everything to node 0; hierarchical
-    /// collectives derive their intra/inter split from this.
+    /// single-node presets map everything to node 0.
     node_of: Vec<usize>,
 }
 
@@ -696,14 +695,6 @@ impl Topology {
         &self.ring
     }
 
-    /// Position of `pe` in [`Topology::ring_order`].
-    pub fn ring_position(&self, pe: usize) -> usize {
-        self.ring
-            .iter()
-            .position(|&p| p == pe)
-            .expect("pe in ring order")
-    }
-
     /// Number of links a `src -> dst` device transfer crosses.
     pub fn route_hops(&self, src: usize, dst: usize) -> usize {
         self.dev_routes[src][dst].len()
@@ -719,20 +710,6 @@ impl Topology {
             .skip(1)
             .map(|&idx| self.links[idx].hop_latency)
             .sum()
-    }
-
-    /// PEs ordered by route distance from `root` (root first, ties by
-    /// index): the order in which a topology-aware broadcast fans out.
-    pub fn bcast_order(&self, root: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n_devices).collect();
-        order.sort_by_key(|&d| {
-            if d == root {
-                (0, d)
-            } else {
-                (1 + self.dev_routes[root][d].len(), d)
-            }
-        });
-        order
     }
 
     /// The ring embedding restricted to `members` (ascending PE ids): the
@@ -755,8 +732,7 @@ impl Topology {
 
     /// Devices grouped by physical node, ascending node index. Every group
     /// is a contiguous ascending device range (guaranteed by construction
-    /// for every preset — hierarchical collectives rely on it to exchange
-    /// whole node slices as one contiguous put).
+    /// for every preset).
     pub fn node_groups(&self) -> Vec<Vec<usize>> {
         let nodes = self.node_of.iter().copied().max().unwrap_or(0) + 1;
         let mut groups = vec![Vec::new(); nodes];
@@ -1317,19 +1293,6 @@ mod tests {
                     "{kind:?} n={n}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn bcast_order_puts_near_devices_first() {
-        let cost = CostModel::a100_hgx();
-        let topo = Topology::build(TopologyKind::TwoNode, 8, &cost);
-        let order = topo.bcast_order(0);
-        assert_eq!(order[0], 0);
-        let cross_pos = order.iter().position(|&d| d == 4).unwrap();
-        for intra in 1..4 {
-            let p = order.iter().position(|&d| d == intra).unwrap();
-            assert!(p < cross_pos, "intra-node device {intra} before cross-node");
         }
     }
 

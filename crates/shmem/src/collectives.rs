@@ -16,10 +16,8 @@
 //!
 //! Neighbor selection is **topology-derived**: the ring walks the
 //! machine's [`gpu_sim::Topology::ring_order`] embedding (route-nearest
-//! neighbors) and the broadcast fans out in
-//! [`gpu_sim::Topology::bcast_order`] (closest PEs first), instead of
-//! hardcoded rank arithmetic. Numerical results do not depend on the
-//! topology — only the virtual time does.
+//! neighbors) instead of hardcoded rank arithmetic. Numerical results do
+//! not depend on the topology — only the virtual time does.
 
 use crate::{ShmemCtx, ShmemWorld, SymArray, SymSignal};
 use gpu_sim::{Buf, KernelCtx};
@@ -364,397 +362,6 @@ fn round(
     Some(got)
 }
 
-/// Broadcast `len` elements of `arr` from `root`'s copy to every PE.
-/// Exactly one agent per PE must call this; blocking.
-pub fn broadcast(
-    sh: &mut ShmemCtx,
-    ctx: &mut KernelCtx<'_>,
-    arr: &SymArray,
-    sig: &SymSignal,
-    epoch: u64,
-    root: usize,
-    len: usize,
-) {
-    let me = sh.my_pe();
-    if me == root {
-        // Fan out in topology order (closest PEs first) so near neighbors
-        // are unblocked before far ones on routed topologies.
-        let order = sh.world().topology().bcast_order(root);
-        for pe in order {
-            if pe == root {
-                continue;
-            }
-            let src = arr.local(root).clone();
-            sh.putmem_signal_nbi(ctx, arr, 0, &src, 0, len, sig, SignalOp::Set, epoch, pe);
-        }
-        sh.quiet(ctx);
-    } else {
-        sh.signal_wait_until(ctx, sig, Cmp::Ge, epoch);
-    }
-}
-
-/// Collectively-allocated workspace for the **hierarchical** allreduce —
-/// ring all-gather within each physical node, node-slice exchange around
-/// the leader ring, leader fan-out to node members.
-///
-/// Sized from the machine's [`gpu_sim::Topology::node_groups`]: enough
-/// round slots for the largest node's intra-node ring and for the
-/// leader-ring slice exchange. One instance per kernel role; every PE's
-/// agent clones it and keeps a private sequence counter, so the workspace
-/// is reusable across epochs of a persistent kernel.
-#[derive(Clone)]
-pub struct HierAllreduceWs {
-    /// Intra-node ring slots, one scalar per round.
-    slots_a: SymArray,
-    sigs_a: Vec<SymSignal>,
-    acks_a: Vec<SymSignal>,
-    /// Leader-ring slice slots, `stride_b` cells per round.
-    slots_b: SymArray,
-    sigs_b: Vec<SymSignal>,
-    acks_b: Vec<SymSignal>,
-    /// Leader fan-out landing zone: the full gathered vector (`n` cells).
-    slots_c: SymArray,
-    sig_c: SymSignal,
-    /// Per-member consumption acks for the fan-out source, indexed by the
-    /// member's position within its node.
-    acks_c: Vec<SymSignal>,
-    /// Cells per leader-ring round (largest node size).
-    stride_b: usize,
-    /// Per-agent persistent source scratch (phase A, leader ring,
-    /// fan-out), lazily allocated on the agent's first call. An nbi put
-    /// reads its source at delivery time, so source buffers must outlive
-    /// the call that issued them; owning them here also keeps their
-    /// allocation identities stable across epochs — a per-call buffer
-    /// dropped at return could be reallocated at the same heap address
-    /// while a previous epoch's reads are still in flight, colliding two
-    /// distinct locations in the happens-before checker.
-    scratch: Option<(Buf, Buf, Buf)>,
-    seq: u64,
-    n_pes: usize,
-}
-
-impl HierAllreduceWs {
-    /// Collective allocation over the world, sized for the machine's node
-    /// grouping.
-    pub fn new(world: &ShmemWorld) -> HierAllreduceWs {
-        let n = world.n_pes();
-        let groups = world.topology().node_groups();
-        let max_m = groups.iter().map(Vec::len).max().unwrap_or(1);
-        let rounds_a = max_m.saturating_sub(1).max(1);
-        let rounds_b = groups.len().saturating_sub(1).max(1);
-        HierAllreduceWs {
-            slots_a: world.malloc("hier.slots_a", rounds_a),
-            sigs_a: world.signals(rounds_a, 0),
-            acks_a: world.signals(rounds_a, 0),
-            slots_b: world.malloc("hier.slots_b", rounds_b * max_m),
-            sigs_b: world.signals(rounds_b, 0),
-            acks_b: world.signals(rounds_b, 0),
-            slots_c: world.malloc("hier.slots_c", n),
-            sig_c: world.signal(0),
-            acks_c: world.signals(max_m, 0),
-            stride_b: max_m,
-            scratch: None,
-            seq: 0,
-            n_pes: n,
-        }
-    }
-
-    /// The local call counter (signal epoch of the last completed call).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-/// Hierarchical scalar allreduce: ring **all-gather within each physical
-/// node**, whole-node-slice exchange around the **leader ring**, then a
-/// leader **fan-out** of the full vector to its node members. Exactly one
-/// agent per PE must call this per epoch.
-///
-/// Only *values* move hierarchically — no partial sums are formed in
-/// flight (floating-point combination is not associative), so every PE
-/// ends holding all `n` original values and folds them in **global
-/// PE-index order**, exactly the flat ring's combine order. The result is
-/// therefore bitwise identical to [`allreduce_scalar`]'s ring path (and to
-/// [`reference_reduce`] with `power_of_two = false`) on every topology
-/// preset; only the virtual time differs. Node slices are contiguous PE
-/// ranges ([`gpu_sim::Topology::node_groups`] guarantees it), so the
-/// leader ring forwards each node's contribution as one contiguous put.
-pub fn allreduce_scalar_hier(
-    sh: &mut ShmemCtx,
-    ctx: &mut KernelCtx<'_>,
-    ws: &mut HierAllreduceWs,
-    value: f64,
-    op: ReduceOp,
-) -> f64 {
-    let n = ws.n_pes;
-    ws.seq += 1;
-    if n == 1 {
-        return value;
-    }
-    let me = sh.my_pe();
-    let topo = std::sync::Arc::clone(sh.world().topology());
-    let groups = topo.node_groups();
-    let g = groups
-        .iter()
-        .position(|grp| grp.contains(&me))
-        .expect("PE missing from node grouping");
-    let members = &groups[g];
-    let m = members.len();
-    let lpos = me - members[0];
-    let leader = members[0];
-    let n_nodes = groups.len();
-
-    // gathered[i] = PE i's original contribution, filled phase by phase.
-    let mut gathered = vec![0.0f64; n];
-    gathered[me] = value;
-
-    // Persistent per-phase scratch (see the `scratch` field): reuse
-    // across calls is ordered by each phase's ack handshake. `Buf` is an
-    // `Arc` handle, so the clones share the workspace's allocation.
-    if ws.scratch.is_none() {
-        ws.scratch = Some((
-            ctx.machine()
-                .alloc(ctx.device(), "hier.src_a", ws.sigs_a.len()),
-            ctx.machine()
-                .alloc(ctx.device(), "hier.src_b", ws.sigs_b.len() * ws.stride_b),
-            ctx.machine().alloc(ctx.device(), "hier.src_c", n),
-        ));
-    }
-    let (scratch_a, scratch_b, scratch_c) = ws.scratch.as_ref().unwrap().clone();
-
-    // Phase A — ring all-gather within the node (members ascending, wrap):
-    // everyone circulates its ORIGINAL value.
-    if m > 1 {
-        let scratch = &scratch_a;
-        let right = members[(lpos + 1) % m];
-        let left = members[(lpos + m - 1) % m];
-        let mut forwarding = value;
-        for r in 0..m - 1 {
-            // Flow control: my RIGHT neighbor must have consumed my
-            // previous epoch's write to this slot.
-            sh.signal_wait_until(ctx, &ws.acks_a[r], Cmp::Ge, ws.seq - 1);
-            ctx.check_write(scratch, r, r + 1, "hier intra scratch");
-            scratch.set(r, forwarding);
-            sh.putmem_signal_nbi(
-                ctx,
-                &ws.slots_a,
-                r,
-                scratch,
-                r,
-                1,
-                &ws.sigs_a[r],
-                SignalOp::Set,
-                ws.seq,
-                right,
-            );
-            sh.signal_wait_until(ctx, &ws.sigs_a[r], Cmp::Ge, ws.seq);
-            ctx.check_read(ws.slots_a.local(me), r, r + 1, "hier intra slot");
-            let got = ws.slots_a.local(me).get(r);
-            sh.signal_op(ctx, &ws.acks_a[r], SignalOp::Set, ws.seq, left);
-            // The value received at round r originated r+1 positions left.
-            let origin = members[(lpos + m - r - 1) % m];
-            gathered[origin] = got;
-            forwarding = got;
-        }
-    }
-
-    if n_nodes > 1 {
-        if me == leader {
-            // Phase B — leaders circulate whole node slices around the
-            // leader ring (ascending node index). The slice forwarded at
-            // round r originated r node-ring hops to our left.
-            let scratch = &scratch_b;
-            let right = groups[(g + 1) % n_nodes][0];
-            let left = groups[(g + n_nodes - 1) % n_nodes][0];
-            let mut fwd_node = g;
-            for r in 0..n_nodes - 1 {
-                let src_first = groups[fwd_node][0];
-                let src_len = groups[fwd_node].len();
-                let base = r * ws.stride_b;
-                sh.signal_wait_until(ctx, &ws.acks_b[r], Cmp::Ge, ws.seq - 1);
-                ctx.check_write(scratch, base, base + src_len, "hier leader scratch");
-                scratch.write_slice(base, &gathered[src_first..src_first + src_len]);
-                sh.putmem_signal_nbi(
-                    ctx,
-                    &ws.slots_b,
-                    base,
-                    scratch,
-                    base,
-                    src_len,
-                    &ws.sigs_b[r],
-                    SignalOp::Set,
-                    ws.seq,
-                    right,
-                );
-                sh.signal_wait_until(ctx, &ws.sigs_b[r], Cmp::Ge, ws.seq);
-                // The slice arriving at round r originated r+1 hops left.
-                let origin = (g + n_nodes - r - 1) % n_nodes;
-                let dst_first = groups[origin][0];
-                let dst_len = groups[origin].len();
-                ctx.check_read(
-                    ws.slots_b.local(me),
-                    base,
-                    base + dst_len,
-                    "hier leader slot",
-                );
-                ws.slots_b
-                    .local(me)
-                    .read_slice(base, &mut gathered[dst_first..dst_first + dst_len]);
-                sh.signal_op(ctx, &ws.acks_b[r], SignalOp::Set, ws.seq, left);
-                fwd_node = origin;
-            }
-            // Phase C — hand each node member the full gathered vector.
-            if m > 1 {
-                let src = &scratch_c;
-                // Every member must have consumed the previous epoch's
-                // fan-out before the source is overwritten.
-                for i in 1..m {
-                    sh.signal_wait_until(ctx, &ws.acks_c[i], Cmp::Ge, ws.seq - 1);
-                }
-                ctx.check_write(src, 0, n, "hier bcast src");
-                src.write_slice(0, &gathered);
-                for &member in &members[1..] {
-                    sh.putmem_signal_nbi(
-                        ctx,
-                        &ws.slots_c,
-                        0,
-                        src,
-                        0,
-                        n,
-                        &ws.sig_c,
-                        SignalOp::Set,
-                        ws.seq,
-                        member,
-                    );
-                }
-            }
-        } else {
-            // Non-leader: the leader delivers all remote contributions.
-            sh.signal_wait_until(ctx, &ws.sig_c, Cmp::Ge, ws.seq);
-            ctx.check_read(ws.slots_c.local(me), 0, n, "hier bcast slot");
-            ws.slots_c.local(me).read_slice(0, &mut gathered);
-            sh.signal_op(ctx, &ws.acks_c[lpos], SignalOp::Set, ws.seq, leader);
-        }
-    }
-
-    // Fold in global PE-index order — the flat ring's combine order, so
-    // the result is bitwise identical on every PE and every preset.
-    let mut acc = gathered[0];
-    for v in &gathered[1..] {
-        acc = op.combine(acc, *v);
-    }
-    acc
-}
-
-/// Collectively-allocated workspace for the personalized all-to-all
-/// exchange (expert-parallel dispatch). One instance per kernel role;
-/// clone per agent, reusable across epochs.
-#[derive(Clone)]
-pub struct AllToAllWs {
-    /// `slots[i]` on PE `j` = the element PE `i` sent to `j`.
-    slots: SymArray,
-    /// `sigs[i]` = "PE `i`'s element has landed" (flag at the receiver).
-    sigs: Vec<SymSignal>,
-    /// `acks[j]` = "PE `j` consumed your element" (flag at the sender).
-    acks: Vec<SymSignal>,
-    /// Per-agent persistent send scratch, lazily allocated on first call
-    /// (same lifetime/identity reasoning as [`HierAllreduceWs::scratch`]).
-    scratch: Option<Buf>,
-    seq: u64,
-    n_pes: usize,
-}
-
-impl AllToAllWs {
-    /// Collective allocation over the world.
-    pub fn new(world: &ShmemWorld) -> AllToAllWs {
-        let n = world.n_pes();
-        AllToAllWs {
-            slots: world.malloc("alltoall.slots", n),
-            sigs: world.signals(n, 0),
-            acks: world.signals(n, 0),
-            scratch: None,
-            seq: 0,
-            n_pes: n,
-        }
-    }
-
-    /// The local call counter (signal epoch of the last completed call).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-/// Personalized all-to-all: PE `i`'s `src[j]` lands in PE `j`'s result
-/// slot `i` (the expert-parallel dispatch pattern — every PE scatters one
-/// element to each peer and gathers one from each). Exactly one agent per
-/// PE must call this per epoch; `src.len()` must equal the PE count.
-///
-/// All sends are issued non-blocking in ascending destination order before
-/// any arrival is drained, so the exchange overlaps fully; arrival slots
-/// are single-writer (per-sender slot + per-sender signal) and reuse
-/// across epochs is guarded by per-pair consumption acks. The returned
-/// vector is indexed by source PE — folding it in index order gives the
-/// same bits on every PE, which is how the expert-parallel property test
-/// cross-checks it against the allreduce paths.
-pub fn alltoall_scalar(
-    sh: &mut ShmemCtx,
-    ctx: &mut KernelCtx<'_>,
-    ws: &mut AllToAllWs,
-    src: &[f64],
-) -> Vec<f64> {
-    let n = ws.n_pes;
-    assert_eq!(
-        src.len(),
-        n,
-        "alltoall needs exactly one element per destination PE"
-    );
-    ws.seq += 1;
-    let me = sh.my_pe();
-    if n == 1 {
-        return vec![src[0]];
-    }
-    // Per-destination scratch: an nbi put reads its source at delivery
-    // time, so each cell stays untouched until the receiver acks the
-    // previous epoch's element. Persistent across calls (see the
-    // `scratch` field).
-    let scratch = ws
-        .scratch
-        .get_or_insert_with(|| ctx.machine().alloc(ctx.device(), "alltoall.src", n))
-        .clone();
-    for (dst, &val) in src.iter().enumerate() {
-        if dst == me {
-            continue;
-        }
-        sh.signal_wait_until(ctx, &ws.acks[dst], Cmp::Ge, ws.seq - 1);
-        ctx.check_write(&scratch, dst, dst + 1, "alltoall scratch");
-        scratch.set(dst, val);
-        sh.putmem_signal_nbi(
-            ctx,
-            &ws.slots,
-            me,
-            &scratch,
-            dst,
-            1,
-            &ws.sigs[me],
-            SignalOp::Set,
-            ws.seq,
-            dst,
-        );
-    }
-    let mut out = vec![0.0f64; n];
-    out[me] = src[me];
-    for (from, slot) in out.iter_mut().enumerate() {
-        if from == me {
-            continue;
-        }
-        sh.signal_wait_until(ctx, &ws.sigs[from], Cmp::Ge, ws.seq);
-        ctx.check_read(ws.slots.local(me), from, from + 1, "alltoall slot");
-        *slot = ws.slots.local(me).get(from);
-        sh.signal_op(ctx, &ws.acks[me], SignalOp::Set, ws.seq, from);
-    }
-    out
-}
-
 /// Reference combine over a slice in the same fixed order the distributed
 /// allreduce uses — for bitwise verification of solver results.
 pub fn reference_reduce(values: &[f64], op: ReduceOp, power_of_two: bool) -> f64 {
@@ -809,10 +416,20 @@ mod tests {
         op: ReduceOp,
     ) -> Vec<f64> {
         let machine = Machine::with_topology(n, CostModel::a100_hgx(), kind, ExecMode::Full);
-        let world = ShmemWorld::init(&machine);
+        run_epochs(&machine, &values, op, 1)
+            .into_iter()
+            .map(|r| r[0])
+            .collect()
+    }
+
+    /// Run `epochs` back-to-back allreduces on one workspace, PE `pe`
+    /// contributing `values[pe] * (e + 1)` in epoch `e`; returns each PE's
+    /// result per epoch.
+    fn run_epochs(machine: &Machine, values: &[f64], op: ReduceOp, epochs: usize) -> Vec<Vec<f64>> {
+        let world = ShmemWorld::init(machine);
         let ws = AllreduceWs::new(&world);
-        let results = Arc::new(Mutex::new(vec![0.0; n]));
-        for (pe, &value) in values.iter().enumerate().take(n) {
+        let results = Arc::new(Mutex::new(vec![vec![0.0; epochs]; values.len()]));
+        for (pe, &value) in values.iter().enumerate() {
             let world = world.clone();
             let mut ws = ws.clone();
             let results = Arc::clone(&results);
@@ -823,8 +440,11 @@ mod tests {
                     1024,
                     vec![BlockGroup::new("g", 1, move |kc| {
                         let mut sh = ShmemCtx::new(&world, kc);
-                        let r = allreduce_scalar(&mut sh, kc, &mut ws, value, op);
-                        results.lock()[pe] = r;
+                        for e in 0..epochs {
+                            let v = value * (e as f64 + 1.0);
+                            let r = allreduce_scalar(&mut sh, kc, &mut ws, v, op);
+                            results.lock()[pe][e] = r;
+                        }
                     })],
                 );
                 host.wait_cooperative(&k);
@@ -832,6 +452,43 @@ mod tests {
         }
         machine.run().unwrap();
         Arc::try_unwrap(results).unwrap().into_inner()
+    }
+
+    /// [`run_epochs`] on a machine with the happens-before checker, which
+    /// must report a clean run.
+    fn run_epochs_checked(
+        kind: gpu_sim::TopologyKind,
+        values: &[f64],
+        op: ReduceOp,
+        epochs: usize,
+    ) -> Vec<Vec<f64>> {
+        let machine =
+            Machine::with_topology(values.len(), CostModel::a100_hgx(), kind, ExecMode::Full)
+                .with_checker();
+        let out = run_epochs(&machine, values, op, epochs);
+        let report = machine.checker().unwrap().report();
+        assert!(
+            report.clean(),
+            "checker dirty on {}:\n{report}",
+            kind.name()
+        );
+        out
+    }
+
+    /// Seeded pseudo-random values in (-1, 1) — an LCG, so the suite needs
+    /// no external randomness and every failure is replayable by seed.
+    fn seeded_vals(seed: u64, n: usize) -> Vec<f64> {
+        let mut s = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (0..n)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+            })
+            .collect()
     }
 
     #[test]
@@ -896,35 +553,41 @@ mod tests {
 
     #[test]
     fn allreduce_reusable_across_epochs() {
-        // Two consecutive allreduces in one kernel: counters must not clash.
-        let n = 4;
-        let machine = Machine::new(n, CostModel::a100_hgx(), ExecMode::Full);
-        let world = ShmemWorld::init(&machine);
-        let ws = AllreduceWs::new(&world);
-        let results = Arc::new(Mutex::new(vec![(0.0, 0.0); n]));
-        for pe in 0..n {
-            let world = world.clone();
-            let mut ws = ws.clone();
-            let results = Arc::clone(&results);
-            machine.spawn_host(format!("rank{pe}"), move |host| {
-                let k = host.launch_cooperative(
-                    DevId(pe),
-                    "twice",
-                    1024,
-                    vec![BlockGroup::new("g", 1, move |kc| {
-                        let mut sh = ShmemCtx::new(&world, kc);
-                        let a = allreduce_scalar(&mut sh, kc, &mut ws, pe as f64, ReduceOp::Sum);
-                        let b =
-                            allreduce_scalar(&mut sh, kc, &mut ws, pe as f64 * 2.0, ReduceOp::Sum);
-                        results.lock()[pe] = (a, b);
-                    })],
-                );
-                host.wait_cooperative(&k);
-            });
+        // Two consecutive allreduces in one kernel: counters must not clash,
+        // on one node (n = 4) and across the multi-node cluster fabrics
+        // (n = 8 spans 2 fat-tree leaves, 2 dragonfly routers, 1 rail node).
+        let runs = std::iter::once((CostModel::a100_hgx().topology, 4))
+            .chain(gpu_sim::TopologyKind::cluster_presets().map(|kind| (kind, 8)));
+        for (kind, n) in runs {
+            let vals: Vec<f64> = (0..n).map(|pe| pe as f64).collect();
+            let sum = (n * (n - 1) / 2) as f64;
+            let out = run_epochs_checked(kind, &vals, ReduceOp::Sum, 2);
+            assert!(
+                out.iter().all(|r| r[..] == [sum, 2.0 * sum]),
+                "{}: {out:?}",
+                kind.name()
+            );
         }
-        machine.run().unwrap();
-        let out = results.lock();
-        assert!(out.iter().all(|&(a, b)| a == 6.0 && b == 12.0), "{out:?}");
+    }
+
+    #[test]
+    fn flat_allreduce_matches_reference_on_every_preset() {
+        // n = 6 is not a power of two, so the allreduce takes its ring path
+        // and must agree bitwise with the sequential PE-order fold on every
+        // fabric.
+        let n = 6;
+        for seed in [7u64, 42] {
+            let vals = seeded_vals(seed, n);
+            let expect = reference_reduce(&vals, ReduceOp::Sum, false);
+            for kind in gpu_sim::TopologyKind::presets() {
+                let out = run_epochs_checked(kind, &vals, ReduceOp::Sum, 1);
+                assert!(
+                    out.iter().all(|r| r[0] == expect),
+                    "seed={seed} kind={} {out:?} != {expect}",
+                    kind.name()
+                );
+            }
+        }
     }
 
     fn run_quorum_on(
@@ -1090,252 +753,9 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_to_all() {
-        let n = 4;
-        let machine = Machine::new(n, CostModel::a100_hgx(), ExecMode::Full);
-        let world = ShmemWorld::init(&machine);
-        let arr = world.malloc("bcast", 8);
-        arr.local(2).write_slice(0, &[9.0; 8]); // root = 2
-        let sig = world.signal(0);
-        for pe in 0..n {
-            let world = world.clone();
-            let arr = arr.clone();
-            let sig = sig.clone();
-            machine.spawn_host(format!("rank{pe}"), move |host| {
-                let k = host.launch_cooperative(
-                    DevId(pe),
-                    "bcast",
-                    1024,
-                    vec![BlockGroup::new("g", 1, move |kc| {
-                        let mut sh = ShmemCtx::new(&world, kc);
-                        broadcast(&mut sh, kc, &arr, &sig, 1, 2, 8);
-                        assert_eq!(arr.local(pe).get(7), 9.0);
-                    })],
-                );
-                host.wait_cooperative(&k);
-            });
-        }
-        machine.run().unwrap();
-    }
-
-    #[test]
     fn reference_reduce_matches_simple_sum_for_associative_ints() {
         let vals: Vec<f64> = (1..=8).map(|v| v as f64).collect();
         assert_eq!(reference_reduce(&vals, ReduceOp::Sum, true), 36.0);
         assert_eq!(reference_reduce(&vals, ReduceOp::Sum, false), 36.0);
-    }
-
-    // -----------------------------------------------------------------
-    // Hierarchical + all-to-all property suite: seeded values x every
-    // preset x {flat ring, hierarchical, all-to-all} agree bitwise, with
-    // the HB checker clean on every combination.
-    // -----------------------------------------------------------------
-
-    /// Seeded pseudo-random values in (-1, 1) — an LCG, so the suite needs
-    /// no external randomness and every failure is replayable by seed.
-    fn seeded_vals(seed: u64, n: usize) -> Vec<f64> {
-        let mut s = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (0..n)
-            .map(|_| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-            })
-            .collect()
-    }
-
-    /// Run the hierarchical allreduce (`epochs` back-to-back calls) on a
-    /// checked machine; returns per-PE per-epoch results + the HB report.
-    fn run_hier_checked(
-        kind: gpu_sim::TopologyKind,
-        n: usize,
-        values: Vec<f64>,
-        op: ReduceOp,
-        epochs: usize,
-    ) -> (Vec<Vec<f64>>, gpu_sim::CheckReport) {
-        let machine =
-            Machine::with_topology(n, CostModel::a100_hgx(), kind, ExecMode::Full).with_checker();
-        let world = ShmemWorld::init(&machine);
-        let ws = HierAllreduceWs::new(&world);
-        let results = Arc::new(Mutex::new(vec![vec![0.0; epochs]; n]));
-        for (pe, &value) in values.iter().enumerate().take(n) {
-            let world = world.clone();
-            let mut ws = ws.clone();
-            let results = Arc::clone(&results);
-            machine.spawn_host(format!("rank{pe}"), move |host| {
-                let k = host.launch_cooperative(
-                    DevId(pe),
-                    "hier",
-                    1024,
-                    vec![BlockGroup::new("g", 1, move |kc| {
-                        let mut sh = ShmemCtx::new(&world, kc);
-                        for e in 0..epochs {
-                            let v = value * (e as f64 + 1.0);
-                            let r = allreduce_scalar_hier(&mut sh, kc, &mut ws, v, op);
-                            results.lock()[pe][e] = r;
-                        }
-                    })],
-                );
-                host.wait_cooperative(&k);
-            });
-        }
-        machine.run().unwrap();
-        let report = machine.checker().unwrap().report();
-        (Arc::try_unwrap(results).unwrap().into_inner(), report)
-    }
-
-    /// Run the personalized all-to-all on a checked machine: PE `i`
-    /// scatters row `i` of `rows`; returns each PE's gathered vector.
-    fn run_alltoall_checked(
-        kind: gpu_sim::TopologyKind,
-        n: usize,
-        rows: Vec<Vec<f64>>,
-    ) -> (Vec<Vec<f64>>, gpu_sim::CheckReport) {
-        let machine =
-            Machine::with_topology(n, CostModel::a100_hgx(), kind, ExecMode::Full).with_checker();
-        let world = ShmemWorld::init(&machine);
-        let ws = AllToAllWs::new(&world);
-        let results = Arc::new(Mutex::new(vec![Vec::new(); n]));
-        for (pe, row) in rows.iter().enumerate() {
-            let world = world.clone();
-            let mut ws = ws.clone();
-            let row = row.clone();
-            let results = Arc::clone(&results);
-            machine.spawn_host(format!("rank{pe}"), move |host| {
-                let k = host.launch_cooperative(
-                    DevId(pe),
-                    "alltoall",
-                    1024,
-                    vec![BlockGroup::new("g", 1, move |kc| {
-                        let mut sh = ShmemCtx::new(&world, kc);
-                        let out = alltoall_scalar(&mut sh, kc, &mut ws, &row);
-                        results.lock()[pe] = out;
-                    })],
-                );
-                host.wait_cooperative(&k);
-            });
-        }
-        machine.run().unwrap();
-        let report = machine.checker().unwrap().report();
-        (Arc::try_unwrap(results).unwrap().into_inner(), report)
-    }
-
-    #[test]
-    fn hierarchical_matches_flat_ring_and_alltoall_on_every_preset() {
-        // n = 6 is not a power of two, so the flat allreduce genuinely
-        // takes its ring path — all three collectives must then agree
-        // bitwise with the sequential PE-order fold, on every fabric.
-        let n = 6;
-        for seed in [7u64, 42] {
-            let vals = seeded_vals(seed, n);
-            let expect = reference_reduce(&vals, ReduceOp::Sum, false);
-            for kind in gpu_sim::TopologyKind::presets() {
-                let flat = run_allreduce_on(kind, n, vals.clone(), ReduceOp::Sum);
-                assert!(
-                    flat.iter().all(|r| *r == expect),
-                    "flat ring diverged: seed={seed} kind={}",
-                    kind.name()
-                );
-                let (hier, report) = run_hier_checked(kind, n, vals.clone(), ReduceOp::Sum, 1);
-                assert!(
-                    report.clean(),
-                    "hier checker dirty on {}:\n{report}",
-                    kind.name()
-                );
-                assert!(
-                    hier.iter().all(|r| r[0] == expect),
-                    "hier diverged: seed={seed} kind={} {hier:?} != {expect}",
-                    kind.name()
-                );
-                // Expert-parallel dispatch: every PE scatters its value to
-                // all peers; the column fold is exactly the allreduce.
-                let rows: Vec<Vec<f64>> = vals.iter().map(|&v| vec![v; n]).collect();
-                let (a2a, report) = run_alltoall_checked(kind, n, rows);
-                assert!(
-                    report.clean(),
-                    "alltoall checker dirty on {}:\n{report}",
-                    kind.name()
-                );
-                for (pe, got) in a2a.iter().enumerate() {
-                    let fold = reference_reduce(got, ReduceOp::Sum, false);
-                    assert!(
-                        fold == expect,
-                        "alltoall fold diverged: seed={seed} kind={} pe={pe}",
-                        kind.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hierarchical_is_reusable_across_epochs_on_cluster_fabrics() {
-        // Two back-to-back epochs exercise the slot/ack flow control on
-        // genuinely multi-node fabrics (n = 8 spans 2 fat-tree leaves,
-        // 2 dragonfly routers, 1 rail node + partial occupancy).
-        let n = 8;
-        let vals = seeded_vals(3, n);
-        for kind in gpu_sim::TopologyKind::cluster_presets() {
-            let (out, report) = run_hier_checked(kind, n, vals.clone(), ReduceOp::Sum, 2);
-            assert!(report.clean(), "{}:\n{report}", kind.name());
-            for e in 0..2 {
-                let scaled: Vec<f64> = vals.iter().map(|v| v * (e as f64 + 1.0)).collect();
-                let expect = reference_reduce(&scaled, ReduceOp::Sum, false);
-                assert!(
-                    out.iter().all(|r| r[e] == expect),
-                    "{} epoch {e}: {out:?}",
-                    kind.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hierarchical_max_and_min_agree_with_reference() {
-        let n = 6;
-        let vals = seeded_vals(11, n);
-        for op in [ReduceOp::Max, ReduceOp::Min] {
-            let expect = reference_reduce(&vals, op, false);
-            let (out, report) = run_hier_checked(
-                gpu_sim::TopologyKind::Dragonfly {
-                    groups: 6,
-                    routers_per_group: 3,
-                    gpus_per_router: 4,
-                },
-                n,
-                vals.clone(),
-                op,
-                1,
-            );
-            assert!(report.clean(), "{report}");
-            assert!(out.iter().all(|r| r[0] == expect), "{op:?}: {out:?}");
-        }
-    }
-
-    #[test]
-    fn alltoall_delivers_personalized_elements() {
-        // PE i's element j must land exactly in PE j's slot i.
-        let n = 4;
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| (0..n).map(|j| (i * 10 + j) as f64).collect())
-            .collect();
-        let (out, report) = run_alltoall_checked(
-            gpu_sim::TopologyKind::RailOptimized {
-                nodes: 8,
-                gpus_per_node: 8,
-                rails: 4,
-            },
-            n,
-            rows,
-        );
-        assert!(report.clean(), "{report}");
-        for (j, gathered) in out.iter().enumerate() {
-            for (i, &v) in gathered.iter().enumerate() {
-                assert_eq!(v, (i * 10 + j) as f64, "slot ({i},{j})");
-            }
-        }
     }
 }

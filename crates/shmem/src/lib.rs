@@ -35,8 +35,7 @@
 pub mod collectives;
 
 pub use collectives::{
-    allreduce, allreduce_scalar, broadcast, reference_reduce, wait_from, AllreduceWs, Members,
-    ReduceOp, Wait,
+    allreduce, allreduce_scalar, reference_reduce, wait_from, AllreduceWs, Members, ReduceOp, Wait,
 };
 
 use gpu_sim::{Buf, Checker, DevId, FaultState, KernelCtx, Machine, Transport};
@@ -122,7 +121,7 @@ impl ShmemWorld {
     }
 
     /// The interconnect graph collectives derive their neighbor selection
-    /// from (ring embedding, broadcast fan-out order).
+    /// from (the ring embedding).
     pub fn topology(&self) -> &Arc<gpu_sim::Topology> {
         self.machine.topology()
     }

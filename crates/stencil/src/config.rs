@@ -139,11 +139,6 @@ impl StencilConfig {
         }
     }
 
-    /// Points in one layer of owned cells along the slab axis.
-    pub fn layer_points(&self) -> u64 {
-        self.halo_elems() as u64
-    }
-
     /// Sanity checks; call before running a variant.
     pub fn validate(&self) {
         assert!(self.nx >= 3 && self.ny >= 3, "grid too small");
