@@ -298,23 +298,6 @@ fn topo(jobs: usize) {
     println!(" two-node NIC — queue concurrent pairs and stretch the makespan)");
 }
 
-fn grid2d() {
-    println!("== Extension — handwritten 2D grid decomposition (strided E/W iput) ==");
-    println!(
-        "{:>5} {:>14} {:>14} {:>9}",
-        "gpus", "baseline", "cpu-free", "speedup"
-    );
-    for (n, base, free, s) in grid2d_comparison() {
-        println!(
-            "{:>5} {:>14} {:>14} {:>8.1}%",
-            n,
-            format!("{}", base),
-            format!("{}", free),
-            s
-        );
-    }
-}
-
 fn breakdown() {
     println!("== Overhead anatomy — small 2D domain, 8 GPUs, no compute (per iteration) ==");
     println!(
@@ -868,7 +851,6 @@ const FIGURES: &[&str] = &[
     "breakdown",
     "sensitivity",
     "topo",
-    "grid2d",
     "check",
 ];
 
@@ -1001,10 +983,6 @@ fn main() {
     }
     if want("topo") {
         topo(jobs);
-        println!();
-    }
-    if want("grid2d") {
-        grid2d();
         println!();
     }
     let mut check_ok = true;

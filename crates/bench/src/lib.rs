@@ -633,25 +633,6 @@ pub fn topo_contention_jobs(jobs: usize) -> Vec<TopoRow> {
     })
 }
 
-/// Extension: the handwritten 2D **grid**-decomposed stencil (four
-/// neighbors, strided east/west `iput`) — CPU-Free vs discrete baseline.
-pub fn grid2d_comparison() -> Vec<(usize, SimDur, SimDur, f64)> {
-    use stencil_lab::{run_grid2d_baseline, run_grid2d_cpu_free, Grid2DConfig};
-    let mut rows = Vec::new();
-    for (pgrid, n) in [((1usize, 2usize), 2usize), ((2, 2), 4), ((2, 4), 8)] {
-        let cfg = Grid2DConfig::new(512, 512, pgrid, ITERS).timing_only();
-        let free = run_grid2d_cpu_free(&cfg);
-        let base = run_grid2d_baseline(&cfg);
-        rows.push((
-            n,
-            base.total,
-            free.total,
-            speedup_pct(base.total, free.total),
-        ));
-    }
-    rows
-}
-
 /// One row of the per-variant overhead breakdown.
 #[derive(Debug, Clone)]
 pub struct BreakdownRow {

@@ -130,20 +130,6 @@ where
     machine.run()
 }
 
-/// Run the persistent time loop: `body(iter, ctx)` for `iterations` steps
-/// (1-based), with a `grid.sync()` separating steps — the shape of the
-/// paper's Listing 4.1.
-pub fn persistent_loop(
-    ctx: &mut KernelCtx<'_>,
-    iterations: u64,
-    mut body: impl FnMut(u64, &mut KernelCtx<'_>),
-) {
-    for iter in 1..=iterations {
-        body(iter, ctx);
-        ctx.grid_sync();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,21 +160,23 @@ mod tests {
     }
 
     #[test]
-    fn persistent_loop_iterates_with_grid_sync() {
+    fn persistent_kernel_iterates_with_grid_sync() {
         let machine = Machine::new(1, CostModel::a100_hgx(), ExecMode::Full);
         let probe = machine.flag(0);
         launch_cpu_free(&machine, "loop", 1024, move |_pe| {
             vec![
                 BlockGroup::new("g0", 1, move |k| {
-                    persistent_loop(k, 10, |_it, k| {
+                    for _ in 0..10 {
                         k.busy(Category::Compute, "w", us(1.0));
                         k.agent_mut().signal(probe, SignalOp::Add, 1);
-                    });
+                        k.grid_sync();
+                    }
                 }),
                 BlockGroup::new("g1", 1, move |k| {
-                    persistent_loop(k, 10, |_it, k| {
+                    for _ in 0..10 {
                         k.busy(Category::Compute, "w", us(2.0));
-                    });
+                        k.grid_sync();
+                    }
                 }),
             ]
         })

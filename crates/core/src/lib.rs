@@ -4,7 +4,7 @@
 //! the CPU from the control path of multi-GPU applications by combining:
 //!
 //! 1. **Persistent kernels** — the time loop lives on the device; the host
-//!    launches exactly once ([`launch_cpu_free`], [`persistent_loop`]);
+//!    launches exactly once ([`launch_cpu_free`]);
 //! 2. **Device-side synchronization** — cooperative-groups `grid.sync()`
 //!    within a device, NVSHMEM flag semaphores between devices (§4.1.1;
 //!    see `nvshmem_sim::ShmemCtx::signal_wait_until`);
@@ -33,7 +33,7 @@ mod stats;
 mod watchdog;
 
 pub use alloc::TbAllocation;
-pub use launch::{launch_cpu_free, launch_cpu_free_dual, persistent_loop, LocalRendezvous};
+pub use launch::{launch_cpu_free, launch_cpu_free_dual, LocalRendezvous};
 pub use rollback::{
     run_blocking, Blocking, Driver, FtCtx, Halo, Interrupted, Quorum, Recoverable, Rollback,
     RollbackCounts, CHECKPOINT_EVERY, POLL, WATCHDOG_INTERVAL,

@@ -7,10 +7,12 @@
 //!
 //! # Model
 //!
-//! The predictor walks the SDFG exactly as the persistent backend executes
-//! it — same guards, same loop trip counts, same conservative
-//! communication schedule (single comm thread + grid sync, §5.3.2) — but
-//! against *scalar clocks* instead of a discrete-event engine:
+//! The predictor prices the steps of the walk the persistent backend
+//! executes (the crate-private `schedule` module: same shape check, guards,
+//! loop trip counts and conservative communication schedule — single comm
+//! thread + grid sync, §5.3.2), adding only the kernel launch charge and
+//! the skip of zero-count `iput`s, but against *scalar clocks* instead of
+//! a discrete-event engine:
 //!
 //! * one virtual clock per PE, advanced by the same closed-form charges
 //!   the simulator's [`gpu_sim::Transport`]/[`gpu_sim::CostModel`] apply
@@ -56,9 +58,9 @@
 //!   enumeration.
 
 use crate::expr::Bindings;
-use crate::ir::{Cf, LibNode, Op, Sdfg, State};
+use crate::ir::{LibNode, Sdfg};
 use crate::lower::{self, LowerError};
-use crate::verify::{verify_sdfg, VerifyReport};
+use crate::schedule::{self, Step};
 use gpu_sim::{CostModel, Topology, TopologyKind};
 use sim_des::{us, SimDur, SimTime};
 use std::cmp::Reverse;
@@ -216,62 +218,29 @@ pub fn predict_cost(
 ) -> Result<CostReport, CostError> {
     lower::persistent_legality(sdfg).map_err(CostError::Illegal)?;
     lower::verify_gate(sdfg, n_pes, user).map_err(CostError::Illegal)?;
+    let shapes = schedule::resolve_shapes(sdfg, n_pes, user).map_err(CostError::Illegal)?;
     let cost = CostModel::a100_hgx();
     let topo = Topology::build(topology, n_pes, &cost);
+    let flat = Flattener {
+        sdfg,
+        shapes: &shapes,
+        cost: &cost,
+        n_pes,
+        user,
+    };
     // Steady-state composition: walk a warmup window, then extend the
     // periodic regime in closed form. Falls back to the full walk when the
     // loop is short or the window has not stabilized.
-    if let Some(iters) = top_persistent_trip_count(sdfg, n_pes, user) {
+    if let Some(iters) = schedule::persistent_trip_count(sdfg, n_pes, user) {
         if iters > WARMUP_ITERS + 2 {
-            let mut w = walk(sdfg, n_pes, user, &cost, &topo, Some(WARMUP_ITERS))?;
+            let mut w = walk(&flat, &topo, Some(WARMUP_ITERS))?;
             if w.extrapolate(iters - WARMUP_ITERS) {
                 return Ok(assemble(sdfg, n_pes, topology, &cost, &topo, w, true));
             }
         }
     }
-    let w = walk(sdfg, n_pes, user, &cost, &topo, None)?;
+    let w = walk(&flat, &topo, None)?;
     Ok(assemble(sdfg, n_pes, topology, &cost, &topo, w, false))
-}
-
-/// Run the static protocol verifier and, when it passes, the cost
-/// predictor — the "cost report alongside verification" entry point used
-/// by tooling that wants both artifacts from one call.
-#[must_use]
-pub fn verify_and_predict(
-    sdfg: &Sdfg,
-    n_pes: usize,
-    user: &Bindings,
-    topology: TopologyKind,
-) -> (VerifyReport, Option<CostReport>) {
-    let report = verify_sdfg(sdfg, n_pes, user);
-    if !report.clean() {
-        return (report, None);
-    }
-    let predicted = predict_cost(sdfg, n_pes, user, topology).ok();
-    (report, predicted)
-}
-
-/// Trip count of the single top-level persistent loop, when the body is
-/// exactly that loop and its bounds agree across PEs.
-fn top_persistent_trip_count(sdfg: &Sdfg, n_pes: usize, user: &Bindings) -> Option<i64> {
-    let [Cf::Loop {
-        start,
-        end,
-        persistent: true,
-        ..
-    }] = sdfg.body.as_slice()
-    else {
-        return None;
-    };
-    let b0 = sdfg.bindings(0, n_pes, user);
-    let (lo, hi) = (start.eval(&b0), end.eval(&b0));
-    for pe in 1..n_pes {
-        let b = sdfg.bindings(pe, n_pes, user);
-        if (start.eval(&b), end.eval(&b)) != (lo, hi) {
-            return None;
-        }
-    }
-    (hi >= lo).then(|| hi - lo + 1)
 }
 
 // ------------------------------------------------------------------
@@ -400,128 +369,57 @@ impl Tally {
     }
 }
 
+/// Turns one PE's persistent schedule into priced ops.
 struct Flattener<'a> {
     sdfg: &'a Sdfg,
-    shapes: BTreeMap<String, Vec<i64>>,
+    shapes: &'a BTreeMap<String, Vec<i64>>,
     cost: &'a CostModel,
-    /// Clamp on the top-level persistent loop's trip count (warmup walks).
-    limit: Option<i64>,
+    n_pes: usize,
+    user: &'a Bindings,
 }
 
 impl Flattener<'_> {
-    fn flatten_pe(
-        &self,
-        pe: usize,
-        n: usize,
-        user: &Bindings,
-        items: &mut ItemTable,
-    ) -> Vec<PredOp> {
-        let mut b = self.sdfg.bindings(pe, n, user);
-        let mut out = Vec::new();
+    /// `cap` limits the persistent loop to a warmup window.
+    fn flatten_pe(&self, pe: usize, cap: Option<i64>, items: &mut ItemTable) -> Vec<PredOp> {
         // Launch skeleton: host enqueue then device start delay — the body
         // begins on every PE after both (see `launch_cooperative`).
         let item = items.get("launch".into());
-        out.push(PredOp::Busy {
+        let mut out = vec![PredOp::Busy {
             dur: self.cost.kernel_launch_host() + self.cost.kernel_launch_device(),
             item,
-        });
-        self.flatten_cf(&self.sdfg.body, &mut b, true, items, &mut out);
-        out
-    }
-
-    fn flatten_cf(
-        &self,
-        body: &[Cf],
-        b: &mut Bindings,
-        top: bool,
-        items: &mut ItemTable,
-        out: &mut Vec<PredOp>,
-    ) {
-        for cf in body {
-            match cf {
-                Cf::Loop {
-                    var,
-                    start,
-                    end,
-                    body,
-                    persistent,
-                } => {
-                    let lo = start.eval(b);
-                    let mut hi = end.eval(b);
-                    let mark = top && *persistent;
-                    if mark {
-                        if let Some(limit) = self.limit {
-                            hi = hi.min(lo + limit - 1);
-                        }
-                    }
-                    for v in lo..=hi {
-                        b.insert(var.clone(), v);
-                        self.flatten_cf(body, b, false, items, out);
-                        if mark {
-                            out.push(PredOp::IterEnd);
-                        }
-                    }
-                }
-                Cf::State(state) => self.flatten_state(state, b, items, out),
-            }
-        }
-    }
-
-    fn flatten_state(
-        &self,
-        state: &State,
-        b: &Bindings,
-        items: &mut ItemTable,
-        out: &mut Vec<PredOp>,
-    ) {
-        let mut comm_since_sync = false;
-        for gop in &state.ops {
-            if !gop.active(b) {
-                continue;
-            }
-            match &gop.op {
-                Op::Map(m) => {
-                    if comm_since_sync {
-                        out.push(PredOp::GridSync);
-                        comm_since_sync = false;
-                    }
-                    let item = items.get(format!("map:{}", m.name));
-                    out.push(PredOp::Busy {
-                        dur: lower::map_cost(self.cost, m.volume(b), false),
-                        item,
-                    });
-                }
-                Op::Copy { dst, .. } => {
+        }];
+        let mut b = self.sdfg.bindings(pe, self.n_pes, self.user);
+        schedule::walk(&self.sdfg.body, &mut b, cap, &mut |step, b| {
+            let op = match step {
+                Step::Map(m) => PredOp::Busy {
+                    dur: lower::map_cost(self.cost, m.volume(b), false),
+                    item: items.get(format!("map:{}", m.name)),
+                },
+                Step::Copy { dst, .. } => {
                     let rd = dst.resolve(&self.shapes[&dst.array], b);
-                    let item = items.get(format!("copy:{}", dst.array));
-                    out.push(PredOp::Busy {
+                    PredOp::Busy {
                         dur: self.cost.local_copy((rd.count * 8) as u64),
-                        item,
-                    });
+                        item: items.get(format!("copy:{}", dst.array)),
+                    }
                 }
-                Op::Lib(lib) => {
-                    comm_since_sync = true;
-                    self.flatten_lib(lib, b, items, out);
-                }
-            }
-        }
-        if comm_since_sync {
-            out.push(PredOp::GridSync);
-        }
+                Step::Lib(lib) => match self.flatten_lib(lib, b, items) {
+                    Some(op) => op,
+                    None => return,
+                },
+                Step::GridSync => PredOp::GridSync,
+                Step::IterEnd(_) => PredOp::IterEnd,
+            };
+            out.push(op);
+        });
+        out
     }
 
     // Pedantic cast triage: `eval` returns i64, but the verify gate has
     // already bounded PE expressions to [0, n_pes) and signal values to
     // non-negative counters, so the narrowing casts cannot truncate here.
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    fn flatten_lib(
-        &self,
-        lib: &LibNode,
-        b: &Bindings,
-        items: &mut ItemTable,
-        out: &mut Vec<PredOp>,
-    ) {
-        match lib {
+    fn flatten_lib(&self, lib: &LibNode, b: &Bindings, items: &mut ItemTable) -> Option<PredOp> {
+        Some(match lib {
             LibNode::PutmemSignal {
                 dst,
                 sig,
@@ -531,14 +429,14 @@ impl Flattener<'_> {
             } => {
                 let rd = dst.resolve(&self.shapes[&dst.array], b);
                 let item = items.get(format!("put:{}->s{sig}", dst.array));
-                out.push(PredOp::PutSignal {
+                PredOp::PutSignal {
                     dst: pex.eval(b) as usize,
                     bytes: (rd.count * 8) as u64,
                     sig: *sig,
                     val: val.eval(b) as u64,
                     block: false,
                     item,
-                });
+                }
             }
             LibNode::PutmemSignalBlock {
                 dst,
@@ -549,68 +447,68 @@ impl Flattener<'_> {
             } => {
                 let rd = dst.resolve(&self.shapes[&dst.array], b);
                 let item = items.get(format!("put_block:{}->s{sig}", dst.array));
-                out.push(PredOp::PutSignal {
+                PredOp::PutSignal {
                     dst: pex.eval(b) as usize,
                     bytes: (rd.count * 8) as u64,
                     sig: *sig,
                     val: val.eval(b) as u64,
                     block: true,
                     item,
-                });
+                }
             }
             LibNode::PutMapped { dst, pe: pex, .. } => {
                 let rd = dst.resolve(&self.shapes[&dst.array], b);
                 let item = items.get(format!("put_mapped:{}", dst.array));
-                out.push(PredOp::PutMapped {
+                PredOp::PutMapped {
                     dst: pex.eval(b) as usize,
                     count: rd.count as u64,
                     item,
-                });
+                }
             }
             LibNode::SignalWait { sig, val } => {
                 let item = items.get(format!("wait:s{sig}"));
-                out.push(PredOp::Wait {
+                PredOp::Wait {
                     sig: *sig,
                     val: val.eval(b) as u64,
                     item,
-                });
+                }
             }
             LibNode::Iput { dst, pe: pex, .. } => {
                 let rd = dst.resolve(&self.shapes[&dst.array], b);
                 if rd.count == 0 {
-                    return;
+                    return None;
                 }
                 let item = items.get(format!("iput:{}", dst.array));
-                out.push(PredOp::Iput {
+                PredOp::Iput {
                     dst: pex.eval(b) as usize,
                     elems: rd.count as u64,
                     item,
-                });
+                }
             }
             LibNode::PutSingle { dst, pe: pex, .. } => {
                 let item = items.get(format!("p:{}", dst.array));
-                out.push(PredOp::PutSingle {
+                PredOp::PutSingle {
                     dst: pex.eval(b) as usize,
                     item,
-                });
+                }
             }
             LibNode::SignalOp { sig, val, pe: pex } => {
                 let item = items.get(format!("signal:s{sig}"));
-                out.push(PredOp::SignalSet {
+                PredOp::SignalSet {
                     dst: pex.eval(b) as usize,
                     sig: *sig,
                     val: val.eval(b) as u64,
                     item,
-                });
+                }
             }
             LibNode::Quiet => {
                 let item = items.get("quiet".into());
-                out.push(PredOp::Quiet { item });
+                PredOp::Quiet { item }
             }
             LibNode::MpiIsend { .. } | LibNode::MpiIrecv { .. } | LibNode::MpiWaitall => {
                 unreachable!("persistent legality rejects MPI nodes")
             }
-        }
+        })
     }
 }
 
@@ -729,36 +627,12 @@ impl Walk {
 }
 
 #[allow(clippy::too_many_lines)]
-fn walk(
-    sdfg: &Sdfg,
-    n_pes: usize,
-    user: &Bindings,
-    cost: &CostModel,
-    topo: &Topology,
-    limit: Option<i64>,
-) -> Result<Walk, CostError> {
-    // Resolve shapes once (uniform across PEs per lowering's own check).
-    let b0 = sdfg.bindings(0, n_pes, user);
-    let shapes: BTreeMap<String, Vec<i64>> = sdfg
-        .arrays
-        .iter()
-        .map(|a| {
-            (
-                a.name.clone(),
-                a.shape.iter().map(|e| e.eval(&b0)).collect(),
-            )
-        })
-        .collect();
-    let flat = Flattener {
-        sdfg,
-        shapes,
-        cost,
-        limit,
-    };
+fn walk(flat: &Flattener<'_>, topo: &Topology, cap: Option<i64>) -> Result<Walk, CostError> {
+    let (n_pes, cost) = (flat.n_pes, flat.cost);
     let mut items = ItemTable::default();
     let mut pes: Vec<PeWalk> = (0..n_pes)
         .map(|pe| PeWalk {
-            ops: flat.flatten_pe(pe, n_pes, user, &mut items),
+            ops: flat.flatten_pe(pe, cap, &mut items),
             idx: 0,
             phase: Phase::Start,
             clock: SimTime::ZERO,
@@ -1313,7 +1187,15 @@ mod tests {
     fn predict_with_full_walk(sdfg: &Sdfg, n: usize, user: &Bindings) -> u64 {
         let cost = CostModel::a100_hgx();
         let topo = Topology::build(TopologyKind::NvlinkAllToAll, n, &cost);
-        let w = walk(sdfg, n, user, &cost, &topo, None).expect("walk");
+        let shapes = schedule::resolve_shapes(sdfg, n, user).expect("shapes");
+        let flat = Flattener {
+            sdfg,
+            shapes: &shapes,
+            cost: &cost,
+            n_pes: n,
+            user,
+        };
+        let w = walk(&flat, &topo, None).expect("walk");
         w.tally.routes.values().map(|&(p, _, _)| p).sum()
     }
 
@@ -1359,12 +1241,30 @@ mod tests {
         assert!(matches!(err, CostError::Illegal(_)));
     }
 
-    /// `verify_and_predict` returns both artifacts for clean programs.
+    /// An array whose shape differs between PEs is rejected with the
+    /// lowering's own error, even when no op touches it.
     #[test]
-    fn verify_and_predict_clean() {
-        let (sdfg, user) = jacobi1d(8, 2, 2);
-        let (report, cost) = verify_and_predict(&sdfg, 2, &user, TopologyKind::NvlinkAllToAll);
-        assert!(report.clean());
-        assert!(cost.is_some());
+    fn rejects_non_uniform_shape() {
+        use crate::expr::Expr;
+        use crate::ir::{ArrayDecl, Storage};
+        let (mut sdfg, user) = jacobi1d(8, 2, 4);
+        sdfg.arrays.push(ArrayDecl {
+            name: "ragged".into(),
+            shape: vec![Expr::s("rank").add(Expr::c(1))],
+            storage: Storage::Gpu,
+        });
+        let lowered = run_persistent_on(
+            &sdfg,
+            4,
+            &user,
+            2,
+            TopologyKind::NvlinkAllToAll,
+            ExecMode::TimingOnly,
+            &|_, _| vec![],
+        );
+        let want = LowerError::NonUniformShape("ragged".into());
+        assert_eq!(lowered.unwrap_err(), want);
+        let err = predict_cost(&sdfg, 4, &user, TopologyKind::NvlinkAllToAll).unwrap_err();
+        assert!(matches!(&err, CostError::Illegal(e) if *e == want), "{err}");
     }
 }

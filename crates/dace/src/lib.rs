@@ -13,7 +13,9 @@
 //!   (strided, §5.3.1) without touching program structure;
 //! * two **backends** ([`lower`]): the discrete host-driven MPI workflow
 //!   (Fig 5.1's stream-sync-heavy pattern) and the persistent CPU-Free
-//!   kernel with conservatively scheduled in-kernel communication (§5.3.2);
+//!   kernel with conservatively scheduled in-kernel communication (§5.3.2),
+//!   whose schedule (a crate-private walk yielding map, copy, library-node,
+//!   grid-sync and iteration-end steps) the cost predictor prices as is;
 //! * the **benchmark programs** ([`programs`]): distributed Jacobi 1D
 //!   (single-element messages) and Jacobi 2D (four neighbors, strided
 //!   east/west columns) with sequential references;
@@ -24,7 +26,8 @@
 //!   sharing diagnostic vocabulary with the dynamic happens-before checker
 //!   and gating both backends and the transform pipeline;
 //! * a **static cost predictor** ([`cost`]): closed-form virtual-time
-//!   prediction of the persistent backend on any topology preset — exact
+//!   prediction of the persistent backend's schedule on any topology
+//!   preset — exact
 //!   on uncontended routes, conservatively bounded on shared links — with
 //!   a per-kernel/per-route cost ledger, no simulation required.
 
@@ -38,11 +41,12 @@ pub mod ir;
 pub mod lower;
 pub mod mpi;
 pub mod programs;
+mod schedule;
 pub mod transform;
 pub mod verify;
 
 pub use analysis::{CommGraph, IntervalSet};
-pub use cost::{predict_cost, verify_and_predict, CostError, CostReport, KernelCost, RouteCost};
+pub use cost::{predict_cost, CostError, CostReport, KernelCost, RouteCost};
 pub use expr::{Bindings, Cond, CondOp, Expr};
 pub use ir::{Schedule, Sdfg, Storage};
 pub use lower::{

@@ -10,13 +10,15 @@
 //! * [`run_persistent`] — the CPU-Free backend (§5.3): one persistent
 //!   cooperative kernel per PE, NVSHMEM library nodes expanded in-kernel,
 //!   communication scheduled conservatively (single thread followed by a
-//!   grid sync, §5.3.2).
+//!   grid sync, §5.3.2); it executes the steps of the crate-private
+//!   `schedule` walk, which the cost predictor prices.
 
 use crate::analysis::{map_footprint, CommGraph, IntervalSet};
 use crate::expr::Bindings;
 use crate::ir::*;
 use crate::mpi::{ChanKey, MpiSim};
 use crate::programs::{jacobi1d_point, jacobi2d_point};
+use crate::schedule::{self, Step};
 use crate::verify::{verify_sdfg, VerifyError};
 use cpufree_core::{launch_cpu_free, RunStats};
 use gpu_sim::{
@@ -186,20 +188,7 @@ fn build_instance_on(
         vec![false; n_pes]
     };
     let world = ShmemWorld::init(&machine);
-    // Resolve shapes; require uniformity across PEs.
-    let mut shapes = BTreeMap::new();
-    for a in &sdfg.arrays {
-        let b0 = sdfg.bindings(0, n_pes, user);
-        let s0: Vec<i64> = a.shape.iter().map(|e| e.eval(&b0)).collect();
-        for pe in 1..n_pes {
-            let b = sdfg.bindings(pe, n_pes, user);
-            let s: Vec<i64> = a.shape.iter().map(|e| e.eval(&b)).collect();
-            if s != s0 {
-                return Err(LowerError::NonUniformShape(a.name.clone()));
-            }
-        }
-        shapes.insert(a.name.clone(), s0);
-    }
+    let shapes = schedule::resolve_shapes(sdfg, n_pes, user)?;
     // Allocate and initialize.
     let mut arrays = BTreeMap::new();
     for a in &sdfg.arrays {
@@ -614,8 +603,9 @@ fn launch_persistent(inst: &Arc<Instance>, name: &str) -> Result<SimTime, sim_de
             let mut b = inst.bindings(pe);
             let world = inst.world.clone();
             let mut sh = ShmemCtx::new(&world, k);
-            let body = inst.sdfg.body.clone();
-            exec_cf_persistent(k, &mut sh, &inst, pe, &mut b, &body);
+            schedule::walk(&inst.sdfg.body, &mut b, None, &mut |step, b| {
+                exec_step(k, &mut sh, &inst, pe, b, step);
+            });
         })]
     })
 }
@@ -711,122 +701,79 @@ pub fn run_persistent_checked(
     })
 }
 
-fn exec_cf_persistent(
-    k: &mut KernelCtx<'_>,
-    sh: &mut ShmemCtx,
-    inst: &Instance,
-    pe: usize,
-    b: &mut Bindings,
-    body: &[Cf],
-) {
-    for cf in body {
-        match cf {
-            Cf::Loop {
-                var,
-                start,
-                end,
-                body,
-                persistent,
-            } => {
-                let (lo, hi) = (start.eval(b), end.eval(b));
-                for v in lo..=hi {
-                    b.insert(var.clone(), v);
-                    exec_cf_persistent(k, sh, inst, pe, b, body);
-                    // Report the iteration commit to the divergence monitor
-                    // (eligible ranks only — see `iteration_eligible`).
-                    if *persistent && inst.checked && inst.iter_eligible[pe] {
-                        if let Some(chk) = inst.machine.checker() {
-                            chk.iteration(pe, v.max(0) as u64, &format!("pe{pe}"), k.now());
-                        }
-                    }
-                }
-            }
-            Cf::State(state) => exec_state_persistent(k, sh, inst, pe, b, state),
-        }
-    }
-}
-
-fn exec_state_persistent(
+/// Execute one step of the persistent schedule on PE `pe`.
+fn exec_step(
     k: &mut KernelCtx<'_>,
     sh: &mut ShmemCtx,
     inst: &Instance,
     pe: usize,
     b: &Bindings,
-    state: &State,
+    step: Step<'_>,
 ) {
-    let cost = k.cost().clone();
-    // §5.3.2: communication is scheduled in a single thread; a grid-wide
-    // barrier separates it from data-parallel maps.
-    let mut comm_since_sync = false;
-    for gop in &state.ops {
-        if !gop.active(b) {
-            continue;
-        }
-        match &gop.op {
-            Op::Map(m) => {
-                if comm_since_sync {
-                    k.grid_sync();
-                    comm_since_sync = false;
-                }
-                if inst.checked {
-                    // Exact per-interval footprints: a bounding box would
-                    // falsely race with concurrently-landing halo puts.
-                    let fp = map_footprint(&inst.sdfg, m, b);
-                    for (array, cells) in &fp.reads {
-                        let buf = inst.buf(array, pe).clone();
-                        for &(lo, hi) in cells.intervals() {
-                            k.check_read(&buf, lo, hi, &m.name);
-                        }
-                    }
-                    for (array, cells) in &fp.writes {
-                        let buf = inst.buf(array, pe).clone();
-                        for &(lo, hi) in cells.intervals() {
-                            k.check_write(&buf, lo, hi, &m.name);
-                        }
+    match step {
+        Step::Map(m) => {
+            if inst.checked {
+                // Exact per-interval footprints: a bounding box would
+                // falsely race with concurrently-landing halo puts.
+                let fp = map_footprint(&inst.sdfg, m, b);
+                for (array, cells) in &fp.reads {
+                    let buf = inst.buf(array, pe).clone();
+                    for &(lo, hi) in cells.intervals() {
+                        k.check_read(&buf, lo, hi, &m.name);
                     }
                 }
-                let dur = map_cost(&cost, m.volume(b), false);
-                k.busy(Category::Compute, m.name.clone(), dur);
-                if k.exec_mode() == ExecMode::Full {
-                    exec_map(inst, m, pe, b);
-                }
-            }
-            Op::Copy { dst, src } => {
-                let rd = dst.resolve(inst.shape(&dst.array), b);
-                let rs = src.resolve(inst.shape(&src.array), b);
-                assert_eq!(rd.count, rs.count, "copy size mismatch");
-                if inst.checked {
-                    let sbuf = inst.buf(&src.array, pe).clone();
-                    for &(lo, hi) in IntervalSet::from_resolved(&rs).intervals() {
-                        k.check_read(&sbuf, lo, hi, "copy");
-                    }
-                    let dbuf = inst.buf(&dst.array, pe).clone();
-                    for &(lo, hi) in IntervalSet::from_resolved(&rd).intervals() {
-                        k.check_write(&dbuf, lo, hi, "copy");
-                    }
-                }
-                let bytes = (rd.count * 8) as u64;
-                k.busy(Category::Comm, "in-kernel copy", cost.local_copy(bytes));
-                if k.exec_mode() == ExecMode::Full {
-                    let dbuf = inst.buf(&dst.array, pe);
-                    let sbuf = inst.buf(&src.array, pe);
-                    if rd.stride == 1 && rs.stride == 1 {
-                        dbuf.copy_from(rd.offset, sbuf, rs.offset, rd.count);
-                    } else {
-                        dbuf.copy_strided_from(
-                            rd.offset, rd.stride, sbuf, rs.offset, rs.stride, rd.count,
-                        );
+                for (array, cells) in &fp.writes {
+                    let buf = inst.buf(array, pe).clone();
+                    for &(lo, hi) in cells.intervals() {
+                        k.check_write(&buf, lo, hi, &m.name);
                     }
                 }
             }
-            Op::Lib(lib) => {
-                comm_since_sync = true;
-                exec_lib_persistent(k, sh, inst, pe, b, lib);
+            let dur = map_cost(k.cost(), m.volume(b), false);
+            k.busy(Category::Compute, m.name.clone(), dur);
+            if k.exec_mode() == ExecMode::Full {
+                exec_map(inst, m, pe, b);
             }
         }
-    }
-    if comm_since_sync {
-        k.grid_sync();
+        Step::Copy { dst, src } => {
+            let rd = dst.resolve(inst.shape(&dst.array), b);
+            let rs = src.resolve(inst.shape(&src.array), b);
+            assert_eq!(rd.count, rs.count, "copy size mismatch");
+            if inst.checked {
+                let sbuf = inst.buf(&src.array, pe).clone();
+                for &(lo, hi) in IntervalSet::from_resolved(&rs).intervals() {
+                    k.check_read(&sbuf, lo, hi, "copy");
+                }
+                let dbuf = inst.buf(&dst.array, pe).clone();
+                for &(lo, hi) in IntervalSet::from_resolved(&rd).intervals() {
+                    k.check_write(&dbuf, lo, hi, "copy");
+                }
+            }
+            let dur = k.cost().local_copy((rd.count * 8) as u64);
+            k.busy(Category::Comm, "in-kernel copy", dur);
+            if k.exec_mode() == ExecMode::Full {
+                let dbuf = inst.buf(&dst.array, pe);
+                let sbuf = inst.buf(&src.array, pe);
+                if rd.stride == 1 && rs.stride == 1 {
+                    dbuf.copy_from(rd.offset, sbuf, rs.offset, rd.count);
+                } else {
+                    dbuf.copy_strided_from(
+                        rd.offset, rd.stride, sbuf, rs.offset, rs.stride, rd.count,
+                    );
+                }
+            }
+        }
+        Step::Lib(lib) => exec_lib_persistent(k, sh, inst, pe, b, lib),
+        Step::GridSync => k.grid_sync(),
+        Step::IterEnd(v) => {
+            // Report the iteration commit to the divergence monitor
+            // (eligible ranks only — see `iteration_eligible`).
+            if inst.checked && inst.iter_eligible[pe] {
+                if let Some(chk) = inst.machine.checker() {
+                    chk.iteration(pe, v.max(0) as u64, &format!("pe{pe}"), k.now());
+                }
+            }
+        }
     }
 }
 

@@ -98,12 +98,6 @@ impl SimDur {
         self.0 as f64 / 1e3
     }
 
-    /// Milliseconds in this duration (lossy).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Seconds in this duration (lossy).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

@@ -1127,23 +1127,6 @@ impl Transport {
         Ok(done.since(now))
     }
 
-    /// Whether `src` can currently reach `dst` (directly or rerouted),
-    /// and over how many links. Runners consult this before relying on a
-    /// neighbor so partitions surface as structured diagnostics.
-    pub fn route_status(
-        &self,
-        faults: &FaultState,
-        src: usize,
-        dst: usize,
-        now: SimTime,
-    ) -> Result<usize, PartitionedNetwork> {
-        if src == dst || !faults.has_kills() || !faults.pair_dead(src, dst, now) {
-            return Ok(self.topo.route_hops(src, dst));
-        }
-        let healed = self.healed_routes(&faults.dead_pairs(now));
-        healed.route(src, dst).map(|(r, _)| r.len())
-    }
-
     /// The healed route table for a dead-pair set (computed once per set
     /// per machine, then shared).
     fn healed_routes(&self, dead: &[(usize, usize)]) -> Arc<HealedRoutes> {
@@ -1356,7 +1339,12 @@ mod tests {
             healed > c.shmem_put(bytes) + c.shmem_signal(),
             "relayed route must cost more than the direct link"
         );
-        assert_eq!(t.route_status(&st, 0, 1, SimTime(0)).unwrap(), 2);
+        let hops = |t: &Transport, st: &FaultState, src, dst| {
+            HealedRoutes::compute(t.topology(), &st.dead_pairs(SimTime(0)))
+                .route(src, dst)
+                .map(|(links, _)| links.len())
+        };
+        assert_eq!(hops(&t, &st, 0, 1).unwrap(), 2);
         // Other pairs are untouched — exact flat-model equality holds.
         assert_eq!(
             t.try_put_signal_delivery(&st, 2, 3, bytes, SimTime(0), false)
@@ -1370,7 +1358,7 @@ mod tests {
             SimTime(1000),
         )));
         assert_eq!(
-            t.route_status(&st_late, 0, 1, SimTime(0)).unwrap(),
+            hops(&t, &st_late, 0, 1).unwrap(),
             t.topology().route_hops(0, 1)
         );
         // 2 devices: killing the only pair partitions the network.
@@ -1381,7 +1369,7 @@ mod tests {
             .try_put_signal_delivery(&st2, 0, 1, bytes, SimTime(0), false)
             .unwrap_err();
         assert!(err.to_string().contains("PartitionedNetwork"));
-        assert!(t2.route_status(&st2, 1, 0, SimTime(0)).is_err());
+        assert!(hops(&t2, &st2, 1, 0).is_err());
     }
 
     #[test]

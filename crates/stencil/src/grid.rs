@@ -70,41 +70,6 @@ pub fn sweep2d_rows(src: &[f64], dst: &mut [f64], nx: usize, rows: (usize, usize
         .for_each(|(i, row)| run(lo + i, row));
 }
 
-/// Sweep an arbitrary rectangle: rows `rows.0..=rows.1`, columns
-/// `cols.0..=cols.1` (slice-local indices, stride `nx`). Used by the 2D
-/// grid-decomposed solver whose boundary ring is four partial strips.
-pub fn sweep2d_rect(
-    src: &[f64],
-    dst: &mut [f64],
-    nx: usize,
-    rows: (usize, usize),
-    cols: (usize, usize),
-) {
-    if rows.1 < rows.0 || cols.1 < cols.0 {
-        return;
-    }
-    debug_assert!(rows.0 >= 1 && cols.0 >= 1 && cols.1 + 1 < nx);
-    debug_assert!((rows.1 + 2) * nx <= src.len());
-    for r in rows.0..=rows.1 {
-        for x in cols.0..=cols.1 {
-            dst[r * nx + x] = update2d(
-                src[(r - 1) * nx + x],
-                src[(r + 1) * nx + x],
-                src[r * nx + x - 1],
-                src[r * nx + x + 1],
-            );
-        }
-    }
-}
-
-/// [`sweep2d_rect`] between two device buffers.
-pub fn sweep2d_rect_buf(a: &Buf, b: &Buf, nx: usize, rows: (usize, usize), cols: (usize, usize)) {
-    if rows.1 < rows.0 || cols.1 < cols.0 {
-        return;
-    }
-    a.with(|src| b.with_mut(|dst| sweep2d_rect(src, dst, nx, rows, cols)));
-}
-
 /// [`sweep2d_rows`] between two device buffers.
 pub fn sweep2d_buf(a: &Buf, b: &Buf, nx: usize, rows: (usize, usize)) {
     if rows.1 < rows.0 {

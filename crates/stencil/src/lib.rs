@@ -26,7 +26,6 @@ pub mod domain;
 pub mod ft;
 pub mod geometry;
 pub mod grid;
-pub mod grid2d;
 pub mod variants;
 
 pub use config::{Slab, StencilConfig, Workload};
@@ -34,5 +33,4 @@ pub use degraded::{degraded_reference, run_cpu_free_degraded, DegradedExecuted};
 pub use domain::{Domain, Executed};
 pub use ft::{run_cpu_free_ft, FtConfig, FtExecuted};
 pub use geometry::{Geo2D, Geo3D, Geometry};
-pub use grid2d::{run_grid2d_baseline, run_grid2d_cpu_free, Grid2DConfig, Grid2DRun};
 pub use variants::Variant;

@@ -55,8 +55,8 @@ pub use stencil_lab;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use cpufree_core::{
-        launch_cpu_free, launch_cpu_free_dual, persistent_loop, spawn_watchdog, LocalRendezvous,
-        RunStats, TbAllocation, WatchdogSpec,
+        launch_cpu_free, launch_cpu_free_dual, spawn_watchdog, LocalRendezvous, RunStats,
+        TbAllocation, WatchdogSpec,
     };
     pub use gpu_sim::{
         BlockGroup, Buf, CheckReport, Checker, CostModel, CrashFault, DevId, DeviceSpec, DropFault,

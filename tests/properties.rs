@@ -376,19 +376,37 @@ fn overlap_ratio_invariant_under_span_reordering() {
     }
 }
 
-/// The 2D grid decomposition is exact for random shapes.
+/// The Fig 6.3b Jacobi-2D program, lowered to the CPU-Free backend, is
+/// bit-exact for random per-PE shapes, PE counts and step counts.
 #[test]
-fn grid2d_exact_for_random_shapes() {
-    use cpufree::stencil_lab::{run_grid2d_cpu_free, Grid2DConfig};
+fn jacobi2d_exact_for_random_shapes() {
+    use cpufree::dace_sim::{run_persistent, to_cpu_free, Jacobi2dSetup};
     let mut g = Gen::new(0x62D);
     for _ in 0..6 {
         let rows = g.range_usize(2, 7);
         let cols = g.range_usize(2, 7);
-        let pr = g.range_usize(1, 3);
-        let pc = g.range_usize(1, 3);
-        let iters = g.range_u64(1, 4);
-        let cfg = Grid2DConfig::new(rows, cols, (pr, pc), iters);
-        let out = run_grid2d_cpu_free(&cfg);
-        assert_eq!(out.max_err, Some(0.0));
+        let n = [1, 2, 4, 8][g.range_usize(0, 4)];
+        let steps = g.range_u64(1, 4);
+        let setup = Jacobi2dSetup::new(rows, cols, steps, n);
+        let mut sdfg = setup.sdfg.clone();
+        to_cpu_free(&mut sdfg).expect("to_cpu_free");
+        let out = run_persistent(
+            &sdfg,
+            n,
+            &setup.user_bindings(),
+            steps,
+            ExecMode::Full,
+            &|pe, arr| setup.init_local(pe, arr),
+        )
+        .expect("run_persistent");
+        let got = setup.gather(&out.finals["A"]);
+        let want = setup.reference();
+        assert_eq!(got.len(), want.len());
+        assert!(
+            got.iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "rows={rows} cols={cols} n={n} steps={steps}"
+        );
     }
 }
