@@ -5,13 +5,7 @@ use dace_sim::lower::{run_discrete, run_persistent, LowerError};
 use dace_sim::programs::{Jacobi1dSetup, Jacobi2dSetup};
 use dace_sim::transform::{gpu_transform, to_cpu_free};
 use gpu_sim::ExecMode;
-
-fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
+use stencil_lab::grid::max_abs_diff;
 
 #[test]
 fn jacobi1d_discrete_matches_reference() {
@@ -28,7 +22,7 @@ fn jacobi1d_discrete_matches_reference() {
     )
     .unwrap();
     let gathered = setup.gather(&out.finals["A"]);
-    assert_eq!(max_diff(&gathered, &setup.reference()), 0.0);
+    assert_eq!(max_abs_diff(&gathered, &setup.reference()), 0.0);
 }
 
 #[test]
@@ -46,7 +40,7 @@ fn jacobi1d_cpu_free_matches_reference() {
     )
     .unwrap();
     let gathered = setup.gather(&out.finals["A"]);
-    assert_eq!(max_diff(&gathered, &setup.reference()), 0.0);
+    assert_eq!(max_abs_diff(&gathered, &setup.reference()), 0.0);
 }
 
 #[test]
@@ -92,7 +86,7 @@ fn jacobi2d_discrete_matches_reference() {
     )
     .unwrap();
     let gathered = setup.gather(&out.finals["A"]);
-    assert_eq!(max_diff(&gathered, &setup.reference()), 0.0);
+    assert_eq!(max_abs_diff(&gathered, &setup.reference()), 0.0);
 }
 
 #[test]
@@ -110,7 +104,7 @@ fn jacobi2d_cpu_free_matches_reference() {
     )
     .unwrap();
     let gathered = setup.gather(&out.finals["A"]);
-    assert_eq!(max_diff(&gathered, &setup.reference()), 0.0);
+    assert_eq!(max_abs_diff(&gathered, &setup.reference()), 0.0);
 }
 
 #[test]
@@ -130,7 +124,7 @@ fn jacobi2d_rectangular_grids_verify() {
         )
         .unwrap();
         let gathered = setup.gather(&out.finals["A"]);
-        assert_eq!(max_diff(&gathered, &setup.reference()), 0.0, "n={n}");
+        assert_eq!(max_abs_diff(&gathered, &setup.reference()), 0.0, "n={n}");
     }
 }
 
@@ -149,7 +143,7 @@ fn single_pe_runs_without_communication() {
     )
     .unwrap();
     let gathered = setup.gather(&out.finals["A"]);
-    assert_eq!(max_diff(&gathered, &setup.reference()), 0.0);
+    assert_eq!(max_abs_diff(&gathered, &setup.reference()), 0.0);
 }
 
 #[test]
@@ -355,7 +349,7 @@ fn block_granularity_verifies_and_is_not_slower() {
     assert_eq!(thread.finals["A"], block.finals["A"]);
     let gathered = setup.gather(&block.finals["A"]);
     let reference = setup.reference();
-    assert_eq!(max_diff(&gathered, &reference), 0.0);
+    assert_eq!(max_abs_diff(&gathered, &reference), 0.0);
     // Cooperative transfers are never slower.
     assert!(block.total <= thread.total);
 }

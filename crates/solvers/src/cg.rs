@@ -21,6 +21,7 @@ use nvshmem_sim::{AllreduceWs, ShmemCtx, ShmemWorld, SymArray, SymSignal};
 use sim_des::lock::Mutex;
 use sim_des::{Category, SignalOp, SimDur, SimError, SimTime};
 use std::sync::Arc;
+use stencil_lab::grid::{max_abs_diff, max_dev};
 
 /// Result of one distributed CG run.
 #[derive(Debug)]
@@ -40,30 +41,32 @@ pub struct CgResult {
 }
 
 impl CgResult {
-    /// Assemble the global x grid (boundary zeros).
-    pub fn gather(&self, prob: &PoissonProblem) -> Vec<f64> {
-        let nx = prob.nx;
-        let slab = prob.slab();
-        let mut full = vec![0.0; nx * prob.ny];
-        for (pe, owned) in self.x_owned.iter().enumerate() {
-            let start = slab.start(pe);
-            full[(start + 1) * nx..(start + 1 + slab.layers(pe)) * nx].copy_from_slice(owned);
-        }
-        full
-    }
-
-    /// Max abs deviation from the order-matched sequential reference.
+    /// Max abs deviation (of every owned slab and of the final rho) from
+    /// the order-matched sequential reference; NaN if any differs by NaN.
     pub fn verify(&self, prob: &PoissonProblem) -> f64 {
         let (xref, rho_ref) = prob.reference_cg(self.order);
-        let mine = self.gather(prob);
-        let x_err = mine
-            .iter()
-            .zip(&xref)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
         let rho_err = (self.final_rho - rho_ref).abs();
-        x_err.max(rho_err)
+        max_dev(
+            rho_err,
+            slab_deviation(prob, &self.x_owned, &xref, 0..prob.n_pes),
+        )
     }
+}
+
+/// Max abs deviation of the owned slabs of `pes` from the global reference
+/// grid `xref`, compared slab by slab; NaN if any cell differs by NaN.
+pub(crate) fn slab_deviation(
+    prob: &PoissonProblem,
+    x_owned: &[Vec<f64>],
+    xref: &[f64],
+    pes: impl IntoIterator<Item = usize>,
+) -> f64 {
+    let (slab, nx) = (prob.slab(), prob.nx);
+    pes.into_iter().fold(0.0, |max, pe| {
+        let first = (slab.start(pe) + 1) * nx;
+        let want = &xref[first..first + slab.layers(pe) * nx];
+        max_dev(max, max_abs_diff(&x_owned[pe], want))
+    })
 }
 
 /// Per-PE workload description shared by every variant.
@@ -556,4 +559,20 @@ pub(crate) fn x_owned(states: &[Arc<PeState>]) -> Vec<Vec<f64>> {
             out
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verify_surfaces_a_nan_in_an_owned_slab() {
+        // Uneven slabs: 9 interior rows over 4 PEs.
+        let prob = PoissonProblem::new(7, 11, 6, 4);
+        let mut out = run_cpu_free(&prob, ExecMode::Full);
+        assert_eq!(out.verify(&prob).to_bits(), 0.0f64.to_bits());
+        let last = out.x_owned[3].len() - 1;
+        out.x_owned[3][last] = f64::NAN;
+        assert!(out.verify(&prob).is_nan(), "a NaN in x must surface");
+    }
 }

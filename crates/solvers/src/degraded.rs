@@ -27,13 +27,15 @@
 //! dead slabs frozen, halo snapshots for the matvec, and dots restricted
 //! to the living quorum. Survivors must match it **bit for bit**.
 
-use crate::cg::{x_owned, CpuFreeCg};
+use crate::cg::{slab_deviation, x_owned, CpuFreeCg};
 use crate::ft::CgFtConfig;
+use crate::kernels::{axpy_xr_rows, dot_rows, matvec_rows, update_p_rows};
 use crate::problem::PoissonProblem;
 use cpufree_core::{run_blocking, Quorum};
 use gpu_sim::{alive_at, CheckReport, ExecMode, FaultPlan};
 use nvshmem_sim::AllreduceWs;
 use sim_des::{SimDur, SimError, SimTime};
+use stencil_lab::grid::max_dev;
 
 /// Result of a degraded-mode CG run.
 #[derive(Debug)]
@@ -58,20 +60,13 @@ pub struct CgDegradedResult {
 
 impl CgDegradedResult {
     /// Max abs deviation of the survivors' slabs (and final rho) from the
-    /// sequential [`degraded_reference_cg`] — `0.0` when bit-exact.
+    /// sequential [`degraded_reference_cg`] — `0.0` when bit-exact, NaN if
+    /// any differs by NaN.
     pub fn verify(&self, prob: &PoissonProblem, plan: &FaultPlan) -> f64 {
         let (xref, rho_ref) = degraded_reference_cg(prob, plan);
-        let slab = prob.slab();
-        let nx = prob.nx;
-        let mut max = (self.final_rho - rho_ref).abs();
-        for &pe in &self.quorum {
-            let start = slab.start(pe);
-            let want = &xref[(start + 1) * nx..(start + 1 + slab.layers(pe)) * nx];
-            for (got, want) in self.x_owned[pe].iter().zip(want) {
-                max = max.max((got - want).abs());
-            }
-        }
-        max
+        let rho_err = (self.final_rho - rho_ref).abs();
+        let quorum = self.quorum.iter().copied();
+        max_dev(rho_err, slab_deviation(prob, &self.x_owned, &xref, quorum))
     }
 }
 
@@ -130,14 +125,13 @@ pub fn degraded_reference_cg(prob: &PoissonProblem, plan: &FaultPlan) -> (Vec<f6
     let (nx, ny) = (prob.nx, prob.ny);
     let n = prob.n_pes;
     let slab = prob.slab();
-    let idx = |i: usize, j: usize| i * nx + j;
-    // The global rows PE `pe` owns.
-    let rows = |pe: usize| slab.start(pe) + 1..slab.start(pe) + 1 + slab.layers(pe);
+    // The global rows PE `pe` owns, inclusive.
+    let rows = |pe: usize| (slab.start(pe) + 1, slab.start(pe) + slab.layers(pe));
 
     let mut b = vec![0.0; nx * ny];
     for i in 0..ny {
         for j in 0..nx {
-            b[idx(i, j)] = prob.b_value(i, j);
+            b[i * nx + j] = prob.b_value(i, j);
         }
     }
     let mut x = vec![0.0; nx * ny];
@@ -151,15 +145,7 @@ pub fn degraded_reference_cg(prob: &PoissonProblem, plan: &FaultPlan) -> (Vec<f6
     let dot = |a: &[f64], c: &[f64], t: u64| -> f64 {
         let partials: Vec<f64> = alive_at(plan, n, t)
             .into_iter()
-            .map(|pe| {
-                let mut acc = 0.0;
-                for i in rows(pe) {
-                    for j in 0..nx {
-                        acc += a[idx(i, j)] * c[idx(i, j)];
-                    }
-                }
-                acc
-            })
+            .map(|pe| dot_rows(a, c, nx, rows(pe)))
             .collect();
         // Ascending-PE linear fold == the quorum collective's order.
         partials[1..].iter().fold(partials[0], |acc, v| acc + v)
@@ -168,38 +154,26 @@ pub fn degraded_reference_cg(prob: &PoissonProblem, plan: &FaultPlan) -> (Vec<f6
     let mut rho = dot(&r, &r, 0);
     for it in 1..=prob.iterations {
         let alive = alive_at(plan, n, it);
-        let alive_rows = || alive.iter().flat_map(|&pe| rows(pe));
         // ① Alive PEs publish their current search direction.
-        for i in alive_rows() {
-            pv[idx(i, 0)..idx(i + 1, 0)].copy_from_slice(&p[idx(i, 0)..idx(i + 1, 0)]);
+        for &pe in &alive {
+            let (lo, hi) = rows(pe);
+            pv[lo * nx..(hi + 1) * nx].copy_from_slice(&p[lo * nx..(hi + 1) * nx]);
         }
         // ② q = A pv on alive rows only.
-        for i in alive_rows() {
-            for j in 1..nx - 1 {
-                q[idx(i, j)] = 4.0 * pv[idx(i, j)]
-                    - pv[idx(i - 1, j)]
-                    - pv[idx(i + 1, j)]
-                    - pv[idx(i, j - 1)]
-                    - pv[idx(i, j + 1)];
-            }
+        for &pe in &alive {
+            matvec_rows(&pv, &mut q, nx, rows(pe));
         }
-        let pq = dot(&p, &q, it);
-        let alpha = rho / pq;
+        let alpha = rho / dot(&p, &q, it);
         // ③ axpy on alive rows.
-        for i in alive_rows() {
-            for j in 0..nx {
-                x[idx(i, j)] += alpha * p[idx(i, j)];
-                r[idx(i, j)] -= alpha * q[idx(i, j)];
-            }
+        for &pe in &alive {
+            axpy_xr_rows(&mut x, &mut r, &p, &q, alpha, nx, rows(pe));
         }
         let rho_new = dot(&r, &r, it);
         let beta = rho_new / rho;
         rho = rho_new;
         // ④ p update on alive rows.
-        for i in alive_rows() {
-            for j in 0..nx {
-                p[idx(i, j)] = r[idx(i, j)] + beta * p[idx(i, j)];
-            }
+        for &pe in &alive {
+            update_p_rows(&mut p, &r, beta, nx, rows(pe));
         }
     }
     (x, rho)
@@ -342,6 +316,21 @@ mod tests {
         assert_eq!(slow.verify(&p, &plan), 0.0);
         assert_eq!(slow.final_rho.to_bits(), fast.final_rho.to_bits());
         assert!(slow.total > fast.total, "{} <= {}", slow.total, fast.total);
+    }
+
+    #[test]
+    fn verify_surfaces_a_nan_in_a_survivor_slab() {
+        let plan = FaultPlan::new().with_crash(CrashFault {
+            node: 1,
+            at_iteration: 3,
+        });
+        let p = prob(TopologyKind::NvlinkAllToAll);
+        let mut out =
+            run_cpu_free_degraded(&CgFtConfig::new(p.clone(), plan.clone()), ExecMode::Full)
+                .unwrap();
+        assert_eq!(out.verify(&p, &plan), 0.0);
+        out.x_owned[2][0] = f64::NAN;
+        assert!(out.verify(&p, &plan).is_nan(), "a NaN in x must surface");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! linear host-side and the recursive-doubling device-side allreduce can be
 //! verified bitwise).
 
+use crate::kernels::{axpy_xr_rows, dot_rows, matvec_rows, update_p_rows};
 use gpu_sim::{CostModel, ExecMode, Machine, TopologyKind};
 use nvshmem_sim::{reference_reduce, ReduceOp};
 use stencil_lab::Slab;
@@ -130,11 +131,11 @@ impl PoissonProblem {
     pub fn reference_cg(&self, order: ReduceOrder) -> (Vec<f64>, f64) {
         let (nx, ny) = (self.nx, self.ny);
         let slab = self.slab();
-        let idx = |i: usize, j: usize| i * nx + j;
+        let interior = (1, ny - 2);
         let mut b = vec![0.0; nx * ny];
         for i in 0..ny {
             for j in 0..nx {
-                b[idx(i, j)] = self.b_value(i, j);
+                b[i * nx + j] = self.b_value(i, j);
             }
         }
         let mut x = vec![0.0; nx * ny];
@@ -142,52 +143,26 @@ impl PoissonProblem {
         let mut p = r.clone();
         let mut q = vec![0.0; nx * ny];
 
-        // Per-slab dot, iterating owned rows in order (matches the device
-        // kernels element-for-element).
-        let dot = |a: &[f64], c: &[f64], order: ReduceOrder| -> f64 {
+        // Per-slab dot over each PE's owned rows: the device kernel's fold.
+        let dot = |a: &[f64], c: &[f64]| -> f64 {
             let partials: Vec<f64> = (0..self.n_pes)
                 .map(|pe| {
-                    let (start, layers) = (slab.start(pe), slab.layers(pe));
-                    let mut acc = 0.0;
-                    for i in start + 1..start + 1 + layers {
-                        for j in 0..nx {
-                            acc += a[idx(i, j)] * c[idx(i, j)];
-                        }
-                    }
-                    acc
+                    let start = slab.start(pe);
+                    dot_rows(a, c, nx, (start + 1, start + slab.layers(pe)))
                 })
                 .collect();
             self.combine(&partials, order)
         };
 
-        let mut rho = dot(&r, &r, order);
+        let mut rho = dot(&r, &r);
         for _ in 0..self.iterations {
-            // q = A p on the interior.
-            for i in 1..ny - 1 {
-                for j in 1..nx - 1 {
-                    q[idx(i, j)] = 4.0 * p[idx(i, j)]
-                        - p[idx(i - 1, j)]
-                        - p[idx(i + 1, j)]
-                        - p[idx(i, j - 1)]
-                        - p[idx(i, j + 1)];
-                }
-            }
-            let pq = dot(&p, &q, order);
-            let alpha = rho / pq;
-            for i in 1..ny - 1 {
-                for j in 0..nx {
-                    x[idx(i, j)] += alpha * p[idx(i, j)];
-                    r[idx(i, j)] -= alpha * q[idx(i, j)];
-                }
-            }
-            let rho_new = dot(&r, &r, order);
+            matvec_rows(&p, &mut q, nx, interior);
+            let alpha = rho / dot(&p, &q);
+            axpy_xr_rows(&mut x, &mut r, &p, &q, alpha, nx, interior);
+            let rho_new = dot(&r, &r);
             let beta = rho_new / rho;
             rho = rho_new;
-            for i in 1..ny - 1 {
-                for j in 0..nx {
-                    p[idx(i, j)] = r[idx(i, j)] + beta * p[idx(i, j)];
-                }
-            }
+            update_p_rows(&mut p, &r, beta, nx, interior);
         }
         (x, rho)
     }
@@ -243,11 +218,7 @@ mod tests {
         let p = PoissonProblem::new(16, 16, 10, 4);
         let (xa, ra) = p.reference_cg(ReduceOrder::Linear);
         let (xb, rb) = p.reference_cg(ReduceOrder::Doubling);
-        let diff = xa
-            .iter()
-            .zip(&xb)
-            .map(|(u, v)| (u - v).abs())
-            .fold(0.0, f64::max);
+        let diff = stencil_lab::grid::max_abs_diff(&xa, &xb);
         assert!(diff < 1e-9, "order changed the answer too much: {diff}");
         assert!((ra - rb).abs() < 1e-12);
     }
@@ -266,7 +237,7 @@ mod tests {
                     - x[(i + 1) * nx + j]
                     - x[i * nx + j - 1]
                     - x[i * nx + j + 1];
-                worst = worst.max((p.b_value(i, j) - ax).abs());
+                worst = stencil_lab::grid::max_dev(worst, (p.b_value(i, j) - ax).abs());
             }
         }
         assert!(worst < 1e-8, "residual {worst}");

@@ -3,6 +3,7 @@
 
 use cpufree_solvers::{run_baseline, run_cpu_free, PoissonProblem};
 use gpu_sim::ExecMode;
+use stencil_lab::grid::{max_abs_diff, max_dev};
 
 #[test]
 fn cpu_free_cg_matches_reference_bitwise() {
@@ -24,12 +25,12 @@ fn both_variants_agree_numerically() {
     let prob = PoissonProblem::new(16, 20, 15, 4);
     let a = run_cpu_free(&prob, ExecMode::Full);
     let b = run_baseline(&prob, ExecMode::Full);
-    let (xa, xb) = (a.gather(&prob), b.gather(&prob));
-    let diff = xa
+    let diff = a
+        .x_owned
         .iter()
-        .zip(&xb)
-        .map(|(u, v)| (u - v).abs())
-        .fold(0.0, f64::max);
+        .zip(&b.x_owned)
+        .map(|(u, v)| max_abs_diff(u, v))
+        .fold(0.0, max_dev);
     assert!(diff < 1e-9, "variants diverged: {diff}");
 }
 

@@ -177,19 +177,10 @@ pub fn degraded_reference(cfg: &StencilConfig, plan: &FaultPlan) -> Vec<f64> {
 }
 
 /// Max abs deviation of the survivors' owned slabs from
-/// [`degraded_reference`] — `0.0` when degradation is bit-exact.
+/// [`degraded_reference`] — `0.0` when degradation is bit-exact, NaN if any
+/// cell differs by NaN.
 fn verify_degraded(dom: &Domain, plan: &FaultPlan, quorum: &[usize]) -> f64 {
-    let reference = degraded_reference(&dom.cfg, plan);
-    let le = dom.layer_elems();
-    let mut max = 0.0f64;
-    for &pe in quorum {
-        let start = dom.slab.start(pe);
-        let want = &reference[(start + 1) * le..(start + 1 + dom.layers(pe)) * le];
-        for (got, want) in dom.owned(pe).iter().zip(want) {
-            max = max.max((got - want).abs());
-        }
-    }
-    max
+    dom.deviation(&degraded_reference(&dom.cfg, plan), quorum.iter().copied())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The distributed stencil domain: slab-decomposed ping-pong grids with
-//! halo layers, the §4.1.1 halo signals, initialization, extraction,
-//! gathering and verification — dimension-agnostic via [`Geometry`].
+//! halo layers, the §4.1.1 halo signals, initialization, extraction and
+//! in-place verification — dimension-agnostic via [`Geometry`].
 
 use crate::config::{Slab, StencilConfig, Workload};
 use crate::geometry::{geometry_of, Geometry};
@@ -153,24 +153,9 @@ impl Domain {
         out
     }
 
-    /// Extract each PE's owned interior layers from the final generation.
-    pub fn extract_owned(&self) -> Vec<Vec<f64>> {
-        (0..self.cfg.n_gpus).map(|pe| self.owned(pe)).collect()
-    }
-
-    /// Assemble the full global grid from owned regions + fixed boundary.
-    pub fn gather(&self) -> Vec<f64> {
-        let le = self.layer_elems();
-        let mut full = self.geo.init();
-        for (pe, owned) in self.extract_owned().iter().enumerate() {
-            let start = self.slab.start(pe);
-            full[(start + 1) * le..(start + 1 + self.layers(pe)) * le].copy_from_slice(owned);
-        }
-        full
-    }
-
     /// Max abs deviation of the multi-GPU result from the sequential
-    /// reference (only meaningful in [`ExecMode::Full`]).
+    /// reference (only meaningful in [`ExecMode::Full`]); NaN if any owned
+    /// cell differs by NaN.
     pub fn verify(&self) -> f64 {
         assert_eq!(
             self.cfg.exec,
@@ -178,7 +163,24 @@ impl Domain {
             "verification requires ExecMode::Full"
         );
         let reference = self.geo.reference(self.cfg.iterations);
-        grid::max_abs_diff(&self.gather(), &reference)
+        self.deviation(&reference, 0..self.cfg.n_gpus)
+    }
+
+    /// Max abs deviation of the owned layers of `pes` in the final
+    /// generation from the global field `reference`, compared in place
+    /// slab by slab; NaN if any cell differs by NaN. Layers no PE owns are
+    /// fixed boundary, equal to the initial condition on both sides.
+    pub(crate) fn deviation(&self, reference: &[f64], pes: impl IntoIterator<Item = usize>) -> f64 {
+        let le = self.layer_elems();
+        pes.into_iter().fold(0.0, |max, pe| {
+            let (start, layers) = (self.slab.start(pe), self.layers(pe));
+            let want = &reference[(start + 1) * le..(start + 1 + layers) * le];
+            let dev = self
+                .final_gen()
+                .local(pe)
+                .with(|got| grid::max_abs_diff(&got[le..(layers + 1) * le], want));
+            grid::max_dev(max, dev)
+        })
     }
 }
 
@@ -249,5 +251,47 @@ pub fn compute_phase(
     }
     if k.exec_mode() == ExecMode::Full && !w.no_compute {
         sweep();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A Full-mode domain whose final generation holds exactly the
+    /// sequential reference on every PE's owned layers: the state a
+    /// correct run leaves behind.
+    fn finished(cfg: &StencilConfig) -> Domain {
+        let dom = Domain::new(cfg);
+        let reference = dom.geo.reference(cfg.iterations);
+        let le = dom.layer_elems();
+        for pe in 0..cfg.n_gpus {
+            let first = (dom.slab.start(pe) + 1) * le;
+            let owned = &reference[first..first + dom.layers(pe) * le];
+            dom.final_gen().local(pe).write_slice(le, owned);
+        }
+        dom
+    }
+
+    #[test]
+    fn verify_compares_every_owned_cell_in_place() {
+        // 2D with uneven slabs, and 3D with nx != ny.
+        for cfg in [
+            StencilConfig::square2d(13, 5, 3),
+            StencilConfig::cube3d(7, 5, 10, 4, 3),
+        ] {
+            let dom = finished(&cfg);
+            assert_eq!(dom.verify().to_bits(), 0.0f64.to_bits());
+            let le = dom.layer_elems();
+            // The last owned cell of the last PE, then the first of PE 0.
+            let last = cfg.n_gpus - 1;
+            let cell = (dom.layers(last) + 1) * le - 1;
+            let was = dom.final_gen().local(last).get(cell);
+            dom.final_gen().local(last).set(cell, was + 0.5);
+            assert_eq!(dom.verify(), (was + 0.5 - was).abs());
+            dom.final_gen().local(last).set(cell, was);
+            dom.final_gen().local(0).set(le, f64::NAN);
+            assert!(dom.verify().is_nan(), "a NaN in an owned slab must surface");
+        }
     }
 }

@@ -13,6 +13,7 @@ use cpufree::dace_sim::transform::{gpu_transform, to_cpu_free};
 use cpufree::dace_sim::verify::verify_sdfg;
 use cpufree::dace_sim::Sdfg;
 use cpufree::prelude::*;
+use cpufree::stencil_lab::grid::max_abs_diff;
 
 /// Statically verify `sdfg` and print the outcome; a diagnostic here means
 /// the program (or a transformation) broke the CPU-Free protocol, so don't
@@ -68,8 +69,8 @@ fn main() {
     let gathered_b = setup.gather(&b.finals["A"]);
     let gathered_c = setup.gather(&c.finals["A"]);
     let reference = setup.reference();
-    let err_b = max_diff(&gathered_b, &reference);
-    let err_c = max_diff(&gathered_c, &reference);
+    let err_b = max_abs_diff(&gathered_b, &reference);
+    let err_c = max_abs_diff(&gathered_c, &reference);
     println!("max |error| vs sequential reference: baseline {err_b:e}, cpu-free {err_c:e}");
     assert_eq!(err_b, 0.0);
     assert_eq!(err_c, 0.0);
@@ -85,11 +86,4 @@ fn main() {
         "  improvement: {:.1}%",
         RunStats::speedup_pct(b.total, c.total)
     );
-}
-
-fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
