@@ -17,8 +17,9 @@
 //! for **every** rank instantiation, mirroring the vocabulary of the
 //! dynamic happens-before checker in `sim-des`.
 
-use crate::expr::Bindings;
-use crate::ir::{Cf, LibNode, MapOp, Op, Resolved, Sdfg, State, TaskletKind};
+use crate::expr::{Bindings, Expr};
+use crate::ir::{Cf, DataRef, LibNode, MapOp, Op, Resolved, Sdfg, State, TaskletKind};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Maximum trip count at which an *inner* loop is expanded in full rather
@@ -163,22 +164,22 @@ impl IntervalSet {
 // Tasklet / op footprints
 // ---------------------------------------------------------------------------
 
-/// Per-array read and write cell sets of one operation.
+/// Per-array read and write cell sets of one operation, by array name.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Footprint {
-    pub reads: Vec<(String, IntervalSet)>,
-    pub writes: Vec<(String, IntervalSet)>,
+pub(crate) struct Footprint<'m> {
+    pub reads: Vec<(&'m str, IntervalSet)>,
+    pub writes: Vec<(&'m str, IntervalSet)>,
 }
 
-fn shape_of(sdfg: &Sdfg, name: &str, b: &Bindings) -> Vec<i64> {
-    sdfg.array(name).shape.iter().map(|e| e.eval(b)).collect()
-}
-
-/// Exact cell footprint of a map's tasklet under bindings. The 2D stencil
-/// footprint is the center block plus four *edge strips* (no corners) —
-/// bounding boxes would claim halo corners the tasklet never reads and
-/// break halo-coverage reasoning.
-pub(crate) fn map_footprint(sdfg: &Sdfg, m: &MapOp, b: &Bindings) -> Footprint {
+/// Exact cell footprint of a map's tasklet under bindings, given each
+/// array's resolved shape. The 2D stencil footprint is the center block
+/// plus four *edge strips* (no corners) — bounding boxes would claim halo
+/// corners the tasklet never reads and break halo-coverage reasoning.
+pub(crate) fn map_footprint<'m, 's>(
+    m: &'m MapOp,
+    b: &Bindings,
+    shape: impl Fn(&str) -> &'s [i64],
+) -> Footprint<'m> {
     let mut fp = Footprint::default();
     match &m.tasklet {
         TaskletKind::Jacobi1d { src, dst } => {
@@ -188,12 +189,10 @@ pub(crate) fn map_footprint(sdfg: &Sdfg, m: &MapOp, b: &Bindings) -> Footprint {
                 return fp;
             }
             let (lo, hi) = (lo as usize, hi as usize);
-            fp.reads.push((
-                src.clone(),
-                IntervalSet::from_intervals(vec![(lo - 1, hi + 2)]),
-            ));
+            fp.reads
+                .push((src, IntervalSet::from_intervals(vec![(lo - 1, hi + 2)])));
             fp.writes
-                .push((dst.clone(), IntervalSet::from_intervals(vec![(lo, hi + 1)])));
+                .push((dst, IntervalSet::from_intervals(vec![(lo, hi + 1)])));
         }
         TaskletKind::Jacobi2d { src, dst } => {
             let (_, ilo, ihi) = &m.range[0];
@@ -203,7 +202,7 @@ pub(crate) fn map_footprint(sdfg: &Sdfg, m: &MapOp, b: &Bindings) -> Footprint {
             if ihi < ilo || jhi < jlo {
                 return fp;
             }
-            let lc = shape_of(sdfg, src, b)[1] as usize;
+            let lc = shape(src)[1] as usize;
             let (ilo, ihi, jlo, jhi) = (ilo as usize, ihi as usize, jlo as usize, jhi as usize);
             let mut reads = Vec::with_capacity(ihi - ilo + 3);
             // Center rows widened one column either side (west/east strips).
@@ -213,14 +212,12 @@ pub(crate) fn map_footprint(sdfg: &Sdfg, m: &MapOp, b: &Bindings) -> Footprint {
             // North and south strips, corners excluded.
             reads.push(((ilo - 1) * lc + jlo, (ilo - 1) * lc + jhi + 1));
             reads.push(((ihi + 1) * lc + jlo, (ihi + 1) * lc + jhi + 1));
-            fp.reads
-                .push((src.clone(), IntervalSet::from_intervals(reads)));
-            let lcd = shape_of(sdfg, dst, b)[1] as usize;
+            fp.reads.push((src, IntervalSet::from_intervals(reads)));
+            let lcd = shape(dst)[1] as usize;
             let writes = (ilo..=ihi)
                 .map(|i| (i * lcd + jlo, i * lcd + jhi + 1))
                 .collect();
-            fp.writes
-                .push((dst.clone(), IntervalSet::from_intervals(writes)));
+            fp.writes.push((dst, IntervalSet::from_intervals(writes)));
         }
     }
     fp
@@ -230,16 +227,17 @@ pub(crate) fn map_footprint(sdfg: &Sdfg, m: &MapOp, b: &Bindings) -> Footprint {
 // Events and traces
 // ---------------------------------------------------------------------------
 
-/// One symbolic event in a PE's linearized trace.
+/// One symbolic event in a PE's linearized trace. Array names and labels
+/// are borrowed from the [`Sdfg`].
 #[derive(Debug, Clone)]
-pub(crate) enum Ev {
+pub(crate) enum Ev<'a> {
     /// A put (any flavor) into `dst_pe`'s copy of `array`.
     Put {
         dst_pe: usize,
-        array: String,
+        array: &'a str,
         /// Destination placement, kept raw for coverage alignment.
         dst: Resolved,
-        src_array: String,
+        src_array: &'a str,
         src_cells: IntervalSet,
         /// Combined completion signal (flag id, value), if any.
         sig: Option<(u32, i64)>,
@@ -254,12 +252,12 @@ pub(crate) enum Ev {
     /// `quiet()` — completes this PE's outstanding nbi effects.
     Quiet,
     /// Local read footprint (maps, copies, send payloads).
-    Read { array: String, cells: IntervalSet },
+    Read { array: &'a str, cells: IntervalSet },
     /// Local write footprint (maps, copies, recv landings).
     Write {
-        array: String,
+        array: &'a str,
         cells: IntervalSet,
-        label: String,
+        label: Cow<'a, str>,
     },
     /// MPI `Isend` of `count` cells.
     Send {
@@ -277,15 +275,15 @@ pub(crate) enum Ev {
 
 /// An event tagged with the phase (iteration sample) it belongs to.
 #[derive(Debug, Clone)]
-pub(crate) struct TraceEv {
+pub(crate) struct TraceEv<'a> {
     pub phase: usize,
-    pub ev: Ev,
+    pub ev: Ev<'a>,
 }
 
 /// One PE's linearized symbolic trace.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PeTrace {
-    pub evs: Vec<TraceEv>,
+pub(crate) struct PeTrace<'a> {
+    pub evs: Vec<TraceEv<'a>>,
 }
 
 /// The per-iteration symbolic communication graph of an SDFG: one trace per
@@ -297,27 +295,34 @@ pub(crate) struct PeTrace {
 /// "the wait in phase 3" and "the put in phase 3" refer to the same
 /// iteration on every rank.
 #[derive(Debug, Clone)]
-pub struct CommGraph {
+pub struct CommGraph<'a> {
     n_pes: usize,
-    pub(crate) traces: Vec<PeTrace>,
+    pub(crate) traces: Vec<PeTrace<'a>>,
     /// Per phase: the outer-loop variable's sampled value, if a loop phase.
     pub(crate) loop_value: Vec<Option<i64>>,
 }
 
-impl CommGraph {
+impl<'a> CommGraph<'a> {
     /// Instantiate the graph for `n_pes` ranks under `user` symbol bindings.
-    pub fn build(sdfg: &Sdfg, n_pes: usize, user: &Bindings) -> CommGraph {
+    pub fn build(sdfg: &'a Sdfg, n_pes: usize, user: &Bindings) -> CommGraph<'a> {
         let mut traces = Vec::with_capacity(n_pes);
         let mut loop_value: Vec<Option<i64>> = Vec::new();
         for pe in 0..n_pes {
+            let mut b = sdfg.bindings(pe, n_pes, user);
             let mut w = Walker {
                 sdfg,
                 n: n_pes,
+                // Array shapes are loop-invariant: the lowering allocates
+                // every array once per PE under these bindings.
+                shapes: sdfg
+                    .arrays
+                    .iter()
+                    .map(|a| a.shape.iter().map(|e| e.eval(&b)).collect())
+                    .collect(),
                 evs: Vec::new(),
                 phase: 0,
                 loop_value: Vec::new(),
             };
-            let mut b = sdfg.bindings(pe, n_pes, user);
             w.note_phase(None);
             w.walk(&sdfg.body, &mut b, 0);
             if pe == 0 {
@@ -391,12 +396,14 @@ impl CommGraph {
 struct Walker<'a> {
     sdfg: &'a Sdfg,
     n: usize,
-    evs: Vec<TraceEv>,
+    /// Per array of `sdfg.arrays`: its shape on this PE.
+    shapes: Vec<Vec<i64>>,
+    evs: Vec<TraceEv<'a>>,
     phase: usize,
     loop_value: Vec<Option<i64>>,
 }
 
-impl Walker<'_> {
+impl<'a> Walker<'a> {
     fn note_phase(&mut self, value: Option<i64>) {
         while self.loop_value.len() <= self.phase {
             self.loop_value.push(None);
@@ -404,7 +411,22 @@ impl Walker<'_> {
         self.loop_value[self.phase] = value;
     }
 
-    fn emit(&mut self, ev: Ev) {
+    fn shape(&self, name: &str) -> &[i64] {
+        let i = self
+            .sdfg
+            .arrays
+            .iter()
+            .position(|a| a.name == name)
+            .unwrap_or_else(|| panic!("unknown array `{name}`"));
+        &self.shapes[i]
+    }
+
+    /// The flat cells `r` touches on this PE.
+    fn resolve(&self, r: &DataRef, b: &Bindings) -> Resolved {
+        r.resolve(self.shape(&r.array), b)
+    }
+
+    fn emit(&mut self, ev: Ev<'a>) {
         self.evs.push(TraceEv {
             phase: self.phase,
             ev,
@@ -423,7 +445,7 @@ impl Walker<'_> {
         s
     }
 
-    fn walk(&mut self, body: &[Cf], b: &mut Bindings, depth: usize) {
+    fn walk(&mut self, body: &'a [Cf], b: &mut Bindings, depth: usize) {
         for cf in body {
             match cf {
                 Cf::State(s) => self.state(s, b),
@@ -468,14 +490,14 @@ impl Walker<'_> {
         }
     }
 
-    fn state(&mut self, s: &State, b: &Bindings) {
+    fn state(&mut self, s: &'a State, b: &Bindings) {
         for gop in &s.ops {
             if !gop.active(b) {
                 continue;
             }
             match &gop.op {
                 Op::Map(m) => {
-                    let fp = map_footprint(self.sdfg, m, b);
+                    let fp = map_footprint(m, b, |name| self.shape(name));
                     for (array, cells) in fp.reads {
                         self.emit(Ev::Read { array, cells });
                     }
@@ -483,21 +505,21 @@ impl Walker<'_> {
                         self.emit(Ev::Write {
                             array,
                             cells,
-                            label: m.name.clone(),
+                            label: Cow::Borrowed(&m.name),
                         });
                     }
                 }
                 Op::Copy { dst, src } => {
-                    let rs = src.resolve(&shape_of(self.sdfg, &src.array, b), b);
-                    let rd = dst.resolve(&shape_of(self.sdfg, &dst.array, b), b);
+                    let rs = self.resolve(src, b);
+                    let rd = self.resolve(dst, b);
                     self.emit(Ev::Read {
-                        array: src.array.clone(),
+                        array: &src.array,
                         cells: IntervalSet::from_resolved(&rs),
                     });
                     self.emit(Ev::Write {
-                        array: dst.array.clone(),
+                        array: &dst.array,
                         cells: IntervalSet::from_resolved(&rd),
-                        label: "copy".into(),
+                        label: Cow::Borrowed("copy"),
                     });
                 }
                 Op::Lib(lib) => self.lib(lib, b),
@@ -505,7 +527,7 @@ impl Walker<'_> {
         }
     }
 
-    fn target(&self, e: &crate::expr::Expr, b: &Bindings) -> Option<usize> {
+    fn target(&self, e: &Expr, b: &Bindings) -> Option<usize> {
         let t = e.eval(b);
         (t >= 0 && (t as usize) < self.n).then_some(t as usize)
     }
@@ -513,9 +535,9 @@ impl Walker<'_> {
     #[allow(clippy::too_many_arguments)]
     fn put(
         &mut self,
-        dst: &crate::ir::DataRef,
-        src: &crate::ir::DataRef,
-        pe: &crate::expr::Expr,
+        dst: &'a DataRef,
+        src: &'a DataRef,
+        pe: &Expr,
         sig: Option<(u32, i64)>,
         nbi: bool,
         label: &'static str,
@@ -524,13 +546,13 @@ impl Walker<'_> {
         let Some(target) = self.target(pe, b) else {
             return; // out-of-range target: the wait side will be flagged
         };
-        let rd = dst.resolve(&shape_of(self.sdfg, &dst.array, b), b);
-        let rs = src.resolve(&shape_of(self.sdfg, &src.array, b), b);
+        let rd = self.resolve(dst, b);
+        let rs = self.resolve(src, b);
         self.emit(Ev::Put {
             dst_pe: target,
-            array: dst.array.clone(),
+            array: &dst.array,
             dst: rd,
-            src_array: src.array.clone(),
+            src_array: &src.array,
             src_cells: IntervalSet::from_resolved(&rs),
             sig,
             nbi,
@@ -538,7 +560,7 @@ impl Walker<'_> {
         });
     }
 
-    fn lib(&mut self, lib: &LibNode, b: &Bindings) {
+    fn lib(&mut self, lib: &'a LibNode, b: &Bindings) {
         match lib {
             LibNode::PutmemSignal {
                 dst,
@@ -602,9 +624,9 @@ impl Walker<'_> {
             }
             LibNode::Quiet => self.emit(Ev::Quiet),
             LibNode::MpiIsend { buf, dest, tag } => {
-                let r = buf.resolve(&shape_of(self.sdfg, &buf.array, b), b);
+                let r = self.resolve(buf, b);
                 self.emit(Ev::Read {
-                    array: buf.array.clone(),
+                    array: &buf.array,
                     cells: IntervalSet::from_resolved(&r),
                 });
                 if let Some(target) = self.target(dest, b) {
@@ -616,7 +638,7 @@ impl Walker<'_> {
                 }
             }
             LibNode::MpiIrecv { buf, src, tag } => {
-                let r = buf.resolve(&shape_of(self.sdfg, &buf.array, b), b);
+                let r = self.resolve(buf, b);
                 if let Some(from) = self.target(src, b) {
                     self.emit(Ev::Recv {
                         src_pe: from,
@@ -626,9 +648,9 @@ impl Walker<'_> {
                 }
                 // The landing cells are locally (remotely-sourced) written.
                 self.emit(Ev::Write {
-                    array: buf.array.clone(),
+                    array: &buf.array,
                     cells: IntervalSet::from_resolved(&r),
-                    label: format!("Irecv tag {tag}"),
+                    label: Cow::Owned(format!("Irecv tag {tag}")),
                 });
             }
             LibNode::MpiWaitall => {}

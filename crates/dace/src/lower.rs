@@ -715,7 +715,7 @@ fn exec_step(
             if inst.checked {
                 // Exact per-interval footprints: a bounding box would
                 // falsely race with concurrently-landing halo puts.
-                let fp = map_footprint(&inst.sdfg, m, b);
+                let fp = map_footprint(m, b, |name| inst.shape(name));
                 for (array, cells) in &fp.reads {
                     let buf = inst.buf(array, pe).clone();
                     for &(lo, hi) in cells.intervals() {

@@ -76,22 +76,20 @@ impl Domain {
         dom
     }
 
-    /// Fill both generations of every PE from the global initial condition.
+    /// Fill both generations of every PE with its slab of the initial
+    /// condition.
     fn initialize(&self) {
         if self.cfg.exec == ExecMode::TimingOnly {
-            // Buffers are virtual; skip building the (possibly huge) init.
+            // Buffers are virtual: nothing to fill.
             return;
         }
-        let le = self.geo.layer_elems();
-        let init = self.geo.init();
         for pe in 0..self.cfg.n_gpus {
-            let start = self.slab.start(pe);
-            let layers = self.layers(pe);
             // Local layer l (0..layers+2) maps to global layer start + l.
-            let src = &init[start * le..(start + layers + 2) * le];
-            for g in &self.gen {
-                g.local(pe).write_slice(0, src);
-            }
+            let len = (self.layers(pe) + 2) * self.layer_elems();
+            let [first, second] = &self.gen;
+            let first = first.local(pe);
+            first.with_mut(|d| self.geo.init_layers(self.slab.start(pe), &mut d[..len]));
+            second.local(pe).copy_from(0, first, 0, len);
         }
     }
 

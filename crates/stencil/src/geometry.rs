@@ -16,8 +16,15 @@ pub trait Geometry: Send + Sync {
     /// Number of layers along the decomposed axis, including both boundary
     /// layers.
     fn axis(&self) -> usize;
+    /// Global layers `first..` of the initial condition, written over all
+    /// of `out` (a whole number of layers).
+    fn init_layers(&self, first: usize, out: &mut [f64]);
     /// The full global initial condition.
-    fn init(&self) -> Vec<f64>;
+    fn init(&self) -> Vec<f64> {
+        let mut g = vec![0.0; self.axis() * self.layer_elems()];
+        self.init_layers(0, &mut g);
+        g
+    }
     /// The sequential reference field after `iterations` steps.
     fn reference(&self, iterations: u64) -> Vec<f64>;
     /// Apply one Jacobi update to local layers `range.0..=range.1` of a
@@ -47,8 +54,8 @@ impl Geometry for Geo2D {
         self.ny
     }
 
-    fn init(&self) -> Vec<f64> {
-        grid::init2d(self.nx, self.ny)
+    fn init_layers(&self, first: usize, out: &mut [f64]) {
+        grid::init2d_rows(self.nx, first, out);
     }
 
     fn reference(&self, iterations: u64) -> Vec<f64> {
@@ -88,8 +95,8 @@ impl Geometry for Geo3D {
         self.nz
     }
 
-    fn init(&self) -> Vec<f64> {
-        grid::init3d(self.nx, self.ny, self.nz)
+    fn init_layers(&self, first: usize, out: &mut [f64]) {
+        grid::init3d_planes(self.nx, self.ny, first, out);
     }
 
     fn reference(&self, iterations: u64) -> Vec<f64> {
@@ -172,5 +179,37 @@ mod tests {
         let mut direct = init.clone();
         grid::sweep2d_rows(&init, &mut direct, 8, (1, 6));
         assert_eq!(b.to_vec(), direct);
+    }
+
+    #[test]
+    fn init_layers_equal_the_slices_of_init_bit_for_bit() {
+        let geos: [&dyn Geometry; 2] = [
+            &Geo2D { nx: 5, ny: 7 },
+            &Geo3D {
+                nx: 4,
+                ny: 3,
+                nz: 6,
+            },
+        ];
+        for g in geos {
+            let (le, axis) = (g.layer_elems(), g.axis());
+            let init = g.init();
+            for first in 0..axis {
+                for layers in 1..=axis - first {
+                    // Start from a dirty buffer: every cell must be written.
+                    let mut out = vec![f64::NAN; layers * le];
+                    g.init_layers(first, &mut out);
+                    let want = &init[first * le..(first + layers) * le];
+                    assert!(
+                        out.iter()
+                            .zip(want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{}: layers {first}..{}",
+                        g.name(),
+                        first + layers
+                    );
+                }
+            }
+        }
     }
 }

@@ -25,24 +25,41 @@ fn update3d(zm: f64, zp: f64, ym: f64, yp: f64, xm: f64, xp: f64) -> f64 {
 /// profile, the other edges and the interior are zero.
 pub fn init2d(nx: usize, ny: usize) -> Vec<f64> {
     let mut g = vec![0.0; nx * ny];
-    for (x, v) in g.iter_mut().enumerate().take(nx) {
-        *v = (PI * x as f64 / (nx - 1) as f64).sin();
-    }
+    init2d_rows(nx, 0, &mut g);
     g
+}
+
+/// Rows `first..` of [`init2d`], written over all of `out` (a whole number
+/// of rows).
+pub fn init2d_rows(nx: usize, first: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    if first == 0 {
+        for (x, v) in out[..nx].iter_mut().enumerate() {
+            *v = (PI * x as f64 / (nx - 1) as f64).sin();
+        }
+    }
 }
 
 /// Initial condition of the 3D Laplace problem: the z=0 face follows a 2D
 /// sine product, everything else is zero.
 pub fn init3d(nx: usize, ny: usize, nz: usize) -> Vec<f64> {
     let mut g = vec![0.0; nx * ny * nz];
-    for y in 0..ny {
-        for x in 0..nx {
-            g[y * nx + x] =
-                (PI * x as f64 / (nx - 1) as f64).sin() * (PI * y as f64 / (ny - 1) as f64).sin();
+    init3d_planes(nx, ny, 0, &mut g);
+    g
+}
+
+/// Planes `first..` of [`init3d`], written over all of `out` (a whole
+/// number of planes).
+pub fn init3d_planes(nx: usize, ny: usize, first: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    if first == 0 {
+        for (y, row) in out[..nx * ny].chunks_exact_mut(nx).enumerate() {
+            for (x, v) in row.iter_mut().enumerate() {
+                *v = (PI * x as f64 / (nx - 1) as f64).sin()
+                    * (PI * y as f64 / (ny - 1) as f64).sin();
+            }
         }
     }
-    let _ = nz;
-    g
 }
 
 /// Sweep rows `rows.0 ..= rows.1` (slice-local indices) of a 2D row-major
