@@ -630,58 +630,6 @@ fn des_core(check: bool, jobs: usize) -> i32 {
     ))
 }
 
-/// `figures traffic [--check]`: sweep one data-parallel, tensor-parallel,
-/// and pipeline-parallel training step over the 64-GPU fat-tree, 72-GPU
-/// dragonfly, and 64-GPU rail-optimized fabrics at full capacity.
-/// Without `--check`, writes `BENCH_traffic.json`. With `--check`,
-/// regenerates the sweep and requires the committed file to match byte
-/// for byte — the sweep is pure virtual time, so the whole file is
-/// deterministic.
-fn traffic(check: bool, jobs: usize) -> i32 {
-    eprintln!("[traffic sweep on {jobs} workers]");
-    println!("== AI traffic patterns — cluster fabrics at capacity ==");
-    let rows = cpufree_bench::traffic::traffic_rows_jobs(jobs);
-    println!(
-        "{:<24} {:>5} {:<18} {:>13} {:<18} {:>8} {:>8}",
-        "fabric", "gpus", "pattern", "makespan", "busiest link", "util", "xfers"
-    );
-    for r in &rows {
-        println!(
-            "{:<24} {:>5} {:<18} {:>11.1}us {:<18} {:>8.3} {:>8}",
-            r.fabric,
-            r.gpus,
-            r.pattern,
-            r.makespan.as_micros_f64(),
-            r.busiest_link,
-            r.utilization,
-            r.reservations
-        );
-    }
-    let traffic = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("fabric", r.fabric.as_str().into()),
-                ("gpus", r.gpus.into()),
-                ("pattern", r.pattern.into()),
-                ("makespan_ns", r.makespan.as_nanos().into()),
-                ("busiest_link", r.busiest_link.as_str().into()),
-                ("busiest_busy_ns", r.busiest_busy.as_nanos().into()),
-                ("utilization", Json::fixed(r.utilization, 4)),
-                ("reservations", r.reservations.into()),
-                ("queued_ns", r.queued.as_nanos().into()),
-            ])
-        })
-        .collect();
-    let body = json::write(&Json::obj([("traffic", traffic)]));
-    status(check_or_write(
-        "traffic",
-        "BENCH_traffic.json",
-        &body,
-        check,
-    ))
-}
-
 /// `figures cost [--check]`: predict every (corpus program × persistent
 /// stage × GPU count × topology preset) cell statically and validate it
 /// against the timing-only DES run — exact on uncontended fabrics, a
@@ -828,7 +776,6 @@ const GATES: &[(&str, &[&str])] = &[
     ("chaos", &["--seeds N"]),
     ("chaos-replay", &["<reproducer.json>"]),
     ("des_core", &["--check"]),
-    ("traffic", &["--check"]),
     ("cost", &["--check"]),
 ];
 
@@ -924,7 +871,6 @@ fn main() {
             "verify" => verify(jobs),
             "chaos" => chaos(seeds.unwrap_or_default(), jobs),
             "des_core" => des_core(check, jobs),
-            "traffic" => traffic(check, jobs),
             _ => cost(check, jobs),
         });
     }

@@ -824,12 +824,23 @@ pub fn reproducer_json(
 /// whether it replays through the degraded-mode runner.
 ///
 /// # Errors
-/// Malformed JSON, a missing or unknown `workload`/`topology`, a
-/// non-string tag, or a malformed plan.
+/// Malformed JSON, an unknown member, a missing or unknown
+/// `workload`/`topology`, a `mode` other than `"degraded"`, a non-string
+/// tag, or a plan that is malformed or that [`FaultPlan::check`] rejects
+/// for [`CHAOS_NODES`] PEs.
 pub fn reproducer_parse(
     document: &str,
 ) -> Result<(ChaosWorkload, TopologyKind, FaultPlan, bool), String> {
     let doc = json::parse(document)?;
+    let Json::Obj(members) = &doc else {
+        return Err("expected an object".into());
+    };
+    // The reproducer's tags, and the members `FaultPlan::to_json` writes.
+    let empty = FaultPlan::new().to_json();
+    let known = |k: &str| ["workload", "topology", "mode"].contains(&k) || empty.get(k).is_some();
+    if let Some((k, _)) = members.iter().find(|(k, _)| !known(k)) {
+        return Err(format!("unknown member \"{k}\""));
+    }
     let tag = |key: &str| -> Result<Option<&str>, String> {
         doc.get(key)
             .map(|v| v.as_str().ok_or(format!("\"{key}\": expected a string")))
@@ -840,8 +851,14 @@ pub fn reproducer_parse(
         ChaosWorkload::from_name(w).ok_or_else(|| format!("unknown workload \"{w}\""))?;
     let t = tag("topology")?.ok_or("missing \"topology\"")?;
     let topo = topology_from_name(t).ok_or_else(|| format!("unknown topology \"{t}\""))?;
-    let degraded = tag("mode")? == Some("degraded");
-    Ok((workload, topo, FaultPlan::from_json(&doc)?, degraded))
+    let degraded = match tag("mode")? {
+        None => false,
+        Some("degraded") => true,
+        Some(m) => return Err(format!("unknown mode \"{m}\"")),
+    };
+    let plan = FaultPlan::from_json(&doc)?;
+    plan.check(CHAOS_NODES)?;
+    Ok((workload, topo, plan, degraded))
 }
 
 /// Replay a reproducer document: parse it once, re-run its schedule under

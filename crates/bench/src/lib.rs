@@ -20,7 +20,6 @@
 
 pub mod chaos;
 pub mod cost;
-pub mod traffic;
 
 use dace_sim::lower::{run_discrete, run_persistent};
 use dace_sim::programs::{Jacobi1dSetup, Jacobi2dSetup};

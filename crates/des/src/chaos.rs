@@ -195,18 +195,19 @@ impl FaultPlan {
 
     /// Read a plan back from [`FaultPlan::to_json`]'s object. Member order
     /// is irrelevant, a missing `seed` or fault list reads as zero or
-    /// empty, and unknown members are ignored (reproducer files carry
-    /// their `workload`/`topology` tags in the same object).
+    /// empty, and unknown top-level members are ignored (reproducer files
+    /// carry their `workload`/`topology` tags in the same object).
     ///
     /// # Errors
-    /// A fault list that is not an array, or a fault with a missing or
-    /// mistyped field, named by its position (`links[0]: missing "a"`).
+    /// A fault list that is not an array, or a fault with a missing,
+    /// mistyped or unknown field, named by its position
+    /// (`links[0]: missing "a"`).
     pub fn from_json(doc: &Json) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         if let Some(v) = doc.get("seed") {
             plan.seed = v.num().ok_or("seed: expected a u64")?;
         }
-        for (what, l) in entries(doc, "links")? {
+        for (what, l) in entries(doc, "links", 6)? {
             plan.links.push(LinkFault {
                 a: field(l, "a", &what)?,
                 b: field(l, "b", &what)?,
@@ -216,7 +217,7 @@ impl FaultPlan {
                 bandwidth_mult: field(l, "bandwidth_mult", &what)?,
             });
         }
-        for (what, d) in entries(doc, "drops")? {
+        for (what, d) in entries(doc, "drops", 4)? {
             plan.drops.push(DropFault {
                 from: field(d, "from", &what)?,
                 to: field(d, "to", &what)?,
@@ -224,13 +225,13 @@ impl FaultPlan {
                 count: field(d, "count", &what)?,
             });
         }
-        for (what, c) in entries(doc, "crashes")? {
+        for (what, c) in entries(doc, "crashes", 2)? {
             plan.crashes.push(CrashFault {
                 node: field(c, "node", &what)?,
                 at_iteration: field(c, "at_iteration", &what)?,
             });
         }
-        for (what, f) in entries(doc, "stragglers")? {
+        for (what, f) in entries(doc, "stragglers", 4)? {
             plan.stragglers.push(StragglerFault {
                 node: field(f, "node", &what)?,
                 from: SimTime(field(f, "from", &what)?),
@@ -243,19 +244,20 @@ impl FaultPlan {
 }
 
 /// The elements of the optional array member `key`, each with its
-/// `key[i]` label for error messages.
-fn entries<'a>(doc: &'a Json, key: &str) -> Result<Vec<(String, &'a Json)>, String> {
+/// `key[i]` label for error messages. Each is an object of `fields`
+/// members: every field is required, so one more is an unknown one.
+fn entries<'a>(doc: &'a Json, key: &str, fields: usize) -> Result<Vec<(String, &'a Json)>, String> {
     let Some(v) = doc.get(key) else {
         return Ok(Vec::new());
     };
     let items = v
         .as_array()
         .ok_or_else(|| format!("{key}: expected an array"))?;
-    Ok(items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| (format!("{key}[{i}]"), item))
-        .collect())
+    let entry = |(i, item): (usize, &'a Json)| match item {
+        Json::Obj(m) if m.len() == fields => Ok((format!("{key}[{i}]"), item)),
+        _ => Err(format!("{key}[{i}]: expected an object of {fields} fields")),
+    };
+    items.iter().enumerate().map(entry).collect()
 }
 
 /// The number member `key` of `obj`, read as a `T`.
@@ -482,6 +484,9 @@ mod tests {
         assert!(from_text("{} trailing").is_err());
         assert!(from_text("{\"seed\": \"x\"}").is_err());
         assert!(from_text("{\"drops\": {}}").is_err());
+        // An unknown field beside the four a crash has.
+        let crash = "{\"crashes\": [{\"node\": 0, \"at_iteration\": 1, \"x\": 0}]}";
+        assert!(from_text(crash).unwrap_err().contains("2 fields"));
     }
 
     #[test]

@@ -59,6 +59,11 @@ pub fn mix64(seed: u64) -> u64 {
     SplitMix64::new(seed).next_u64()
 }
 
+/// Largest multiplier a fault may apply to a duration, alone or stacked.
+/// A scaled delay saturates `u64` nanoseconds long before `f64` overflows,
+/// and a saturated delay wraps the clock it is added to.
+pub const MAX_FAULT_MULT: f64 = 1e9;
+
 /// Link degradation between an unordered pair of nodes over a time window.
 ///
 /// A `bandwidth_mult <= 0.0` means the pair's direct connection is **dead**
@@ -186,6 +191,32 @@ impl FaultPlan {
         self
     }
 
+    /// Fails on a fault a run over `nodes` PEs cannot apply as written: a
+    /// PE id of `nodes` or more, a drop window whose end overflows `u64`,
+    /// or a multiplier that is not finite or exceeds [`MAX_FAULT_MULT`].
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
+        let pes = (self.links.iter().flat_map(|l| [l.a, l.b]))
+            .chain(self.drops.iter().flat_map(|d| [d.from, d.to]))
+            .chain(self.crashes.iter().map(|c| c.node))
+            .chain(self.stragglers.iter().map(|f| f.node));
+        if let Some(pe) = pes.max().filter(|&pe| pe >= nodes) {
+            return Err(format!("PE {pe} is out of range for {nodes} PEs"));
+        }
+        for d in &self.drops {
+            let end = d.first_attempt.checked_add(d.count);
+            end.ok_or("a drop window's end overflows u64")?;
+        }
+        let mults = self
+            .links
+            .iter()
+            .flat_map(|l| [l.latency_mult, l.bandwidth_mult]);
+        let mut mults = mults.chain(self.stragglers.iter().map(|f| f.compute_mult));
+        match mults.find(|m| !(m.is_finite() && *m <= MAX_FAULT_MULT)) {
+            Some(m) => Err(format!("multiplier {m} exceeds {MAX_FAULT_MULT:e}")),
+            None => Ok(()),
+        }
+    }
+
     /// The iteration at which `node` crashes, if any: its earliest listed
     /// crash, clamped to 1 (iterations are 1-based, so a crash "at 0" hits
     /// the first one). Every runner, quorum and oracle reads a node's crash
@@ -304,8 +335,9 @@ impl FaultState {
     }
 
     /// Combined `(latency_mult, inverse_bandwidth_mult)` for the unordered
-    /// link `{a, b}` at time `now`. Both are `1.0` on a healthy link; the
-    /// second value is the factor to multiply *transfer time* by.
+    /// link `{a, b}` at time `now`, each capped at [`MAX_FAULT_MULT`]. Both
+    /// are `1.0` on a healthy link; the second value is the factor to
+    /// multiply *transfer time* by.
     pub fn link_mult(&self, a: usize, b: usize, now: SimTime) -> (f64, f64) {
         let mut lat = 1.0;
         let mut inv_bw = 1.0;
@@ -317,7 +349,7 @@ impl FaultState {
                 inv_bw *= 1.0 / f.bandwidth_mult.clamp(1e-6, 1.0);
             }
         }
-        (lat, inv_bw)
+        (lat.min(MAX_FAULT_MULT), inv_bw.min(MAX_FAULT_MULT))
     }
 
     /// True when the direct `{a, b}` connection is hard-failed at `now`
@@ -369,7 +401,8 @@ impl FaultState {
         })
     }
 
-    /// Compute-time multiplier for `node` at time `now` (1.0 when healthy).
+    /// Compute-time multiplier for `node` at time `now` (1.0 when healthy),
+    /// capped at [`MAX_FAULT_MULT`].
     pub fn compute_mult(&self, node: usize, now: SimTime) -> f64 {
         let mut m = 1.0;
         for f in &self.plan.stragglers {
@@ -377,7 +410,7 @@ impl FaultState {
                 m *= f.compute_mult.max(1.0);
             }
         }
-        m
+        m.min(MAX_FAULT_MULT)
     }
 }
 
@@ -429,6 +462,34 @@ mod tests {
         assert_eq!(st.link_mult(1, 0, SimTime(150)), (4.0, 2.0));
         assert_eq!(st.link_mult(0, 1, SimTime(200)), (1.0, 1.0));
         assert_eq!(st.link_mult(2, 3, SimTime(150)), (1.0, 1.0));
+    }
+
+    #[test]
+    fn stacked_faults_cap_at_the_multiplier_bound() {
+        let slow = LinkFault {
+            a: 0,
+            b: 1,
+            from: SimTime(0),
+            until: SimTime(100),
+            latency_mult: MAX_FAULT_MULT,
+            bandwidth_mult: 1e-6,
+        };
+        let straggler = StragglerFault {
+            node: 0,
+            from: SimTime(0),
+            until: SimTime(100),
+            compute_mult: MAX_FAULT_MULT,
+        };
+        let mut plan = FaultPlan::new();
+        for _ in 0..3 {
+            plan = plan
+                .with_link(slow.clone())
+                .with_straggler(straggler.clone());
+        }
+        let st = FaultState::new(plan);
+        let cap = (MAX_FAULT_MULT, MAX_FAULT_MULT);
+        assert_eq!(st.link_mult(0, 1, SimTime(0)), cap);
+        assert_eq!(st.compute_mult(0, SimTime(0)), MAX_FAULT_MULT);
     }
 
     #[test]

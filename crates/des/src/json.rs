@@ -1,9 +1,9 @@
 //! The workspace's one JSON implementation: a value type, a writer with a
 //! single fixed layout, and a bounded parser.
 //!
-//! Every artifact the simulator emits — figure rows, cost and traffic
-//! ledgers, chaos reproducers, Chrome traces — is built as a [`Json`] value
-//! and rendered by [`write()`]; every document read back (reproducers) goes
+//! Every artifact the simulator emits — figure rows, the cost ledger,
+//! chaos reproducers, Chrome traces — is built as a [`Json`] value and
+//! rendered by [`write()`]; every document read back (reproducers) goes
 //! through [`parse`].
 //!
 //! * **Numbers keep their text.** [`Json::Num`] holds the digits as written,
@@ -431,7 +431,6 @@ mod tests {
             "BENCH_cost.json",
             "BENCH_des_core.json",
             "BENCH_figures.json",
-            "BENCH_traffic.json",
             "crates/bench/fixtures/chaos/degraded-globalkill.json",
             "crates/bench/fixtures/chaos/degraded-switchkill.json",
         ]

@@ -98,9 +98,10 @@ impl TopologyKind {
         ]
     }
 
-    /// The cluster-scale reference fabrics swept by `figures -- traffic`:
-    /// a 64-GPU fat-tree, a 72-GPU dragonfly, and a 64-GPU rail-optimized
-    /// cluster.
+    /// The cluster-scale reference fabrics: a 64-GPU fat-tree, a 72-GPU
+    /// dragonfly, and a 64-GPU rail-optimized cluster. The `figures cost`
+    /// ledger and `perf`'s `static_model` run on them; the chaos
+    /// switch-kill fixtures use scaled-down copies of the same families.
     pub fn cluster_presets() -> [TopologyKind; 3] {
         [
             TopologyKind::FatTree {
@@ -258,6 +259,11 @@ impl From<Place> for Endpoint {
     }
 }
 
+/// Every ordered pair of distinct devices among `0..n`, source-major.
+fn pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+}
+
 /// Devices sharing one PCIe host bridge in the [`TopologyKind::PcieTree`]
 /// preset.
 const PCIE_DEVICES_PER_BRIDGE: usize = 4;
@@ -275,15 +281,11 @@ pub struct Topology {
     host_routes: Vec<Vec<usize>>,
     /// Ring embedding derived from the graph (see [`Topology::ring_order`]).
     ring: Vec<usize>,
-    /// `node_of[dev]` = physical node (server) the device sits in —
-    /// single-node presets map everything to node 0.
-    node_of: Vec<usize>,
 }
 
 impl Topology {
     /// Build the link graph for `kind` over `n` devices, calibrated from
     /// `cost` (bandwidths and forwarding latencies).
-    #[allow(clippy::needless_range_loop)] // (src, dst) matrix indexing reads best
     pub fn build(kind: TopologyKind, n: usize, cost: &CostModel) -> Arc<Topology> {
         assert!(n >= 1, "topology needs at least one device");
         if let Some(cap) = kind.capacity() {
@@ -296,36 +298,28 @@ impl Topology {
         let mut links = Vec::new();
         let mut dev_routes = vec![vec![Vec::new(); n]; n];
         let mut host_routes = vec![Vec::new(); n];
-        let mut node_of = vec![0usize; n];
 
         // Per-device PCIe lane to the host. Every preset has one; in the
         // PcieTree preset the same lane also carries peer traffic.
         let bridge_hop = us(cost.pcie_latency_us) * 0.25;
         let lane_base = links.len();
-        for d in 0..n {
+        for (d, route) in host_routes.iter_mut().enumerate() {
+            route.push(links.len());
             links.push(Link::new(
                 format!("pcie.lane{d}"),
                 cost.pcie_gbps,
                 bridge_hop,
             ));
-            host_routes[d].push(lane_base + d);
         }
 
+        // A dedicated NVLink from `s` to `d`.
+        let nvlink =
+            |s: usize, d: usize| Link::new(format!("nvl{s}>{d}"), cost.nvlink_gbps, SimDur::ZERO);
         match kind {
             TopologyKind::NvlinkAllToAll => {
-                for s in 0..n {
-                    for d in 0..n {
-                        if s == d {
-                            continue;
-                        }
-                        let idx = links.len();
-                        links.push(Link::new(
-                            format!("nvl{s}>{d}"),
-                            cost.nvlink_gbps,
-                            SimDur::ZERO,
-                        ));
-                        dev_routes[s][d].push(idx);
-                    }
+                for (s, d) in pairs(n) {
+                    dev_routes[s][d].push(links.len());
+                    links.push(nvlink(s, d));
                 }
             }
             TopologyKind::NvlinkRing => {
@@ -341,23 +335,18 @@ impl Topology {
                         fwd,
                     ));
                 }
-                for s in 0..n {
-                    for d in 0..n {
-                        if s == d {
-                            continue;
+                for (s, d) in pairs(n) {
+                    // Shorter arc; ties go clockwise (increasing index).
+                    let cw = (d + n - s) % n;
+                    let ccw = n - cw;
+                    let route = &mut dev_routes[s][d];
+                    if cw <= ccw {
+                        for h in 0..cw {
+                            route.push(edge_base + (s + h) % n);
                         }
-                        // Shorter arc; ties go clockwise (increasing index).
-                        let cw = (d + n - s) % n;
-                        let ccw = n - cw;
-                        let route = &mut dev_routes[s][d];
-                        if cw <= ccw {
-                            for h in 0..cw {
-                                route.push(edge_base + (s + h) % n);
-                            }
-                        } else {
-                            for h in 0..ccw {
-                                route.push(edge_base + (s + n - 1 - h) % n);
-                            }
+                    } else {
+                        for h in 0..ccw {
+                            route.push(edge_base + (s + n - 1 - h) % n);
                         }
                     }
                 }
@@ -376,22 +365,17 @@ impl Topology {
                     ));
                 }
                 let bridge_of = |d: usize| d / PCIE_DEVICES_PER_BRIDGE;
-                for s in 0..n {
-                    for d in 0..n {
-                        if s == d {
-                            continue;
-                        }
-                        let route = &mut dev_routes[s][d];
-                        route.push(lane_base + s);
-                        if bridge_of(s) == bridge_of(d) {
-                            // P2P through the shared switch under one bridge.
-                            route.push(bridge_base + bridge_of(s));
-                        } else {
-                            route.push(bridge_base + bridge_of(s));
-                            route.push(bridge_base + bridge_of(d));
-                        }
-                        route.push(lane_base + d);
+                for (s, d) in pairs(n) {
+                    let route = &mut dev_routes[s][d];
+                    route.push(lane_base + s);
+                    if bridge_of(s) == bridge_of(d) {
+                        // P2P through the shared switch under one bridge.
+                        route.push(bridge_base + bridge_of(s));
+                    } else {
+                        route.push(bridge_base + bridge_of(s));
+                        route.push(bridge_base + bridge_of(d));
                     }
+                    route.push(lane_base + d);
                 }
             }
             TopologyKind::TwoNode => {
@@ -405,31 +389,18 @@ impl Topology {
                 let nic1 = links.len();
                 links.push(Link::new("nic1".into(), cost.nic_gbps, nic_hop));
                 let node = |d: usize| usize::from(d >= split);
-                for (d, slot) in node_of.iter_mut().enumerate() {
-                    *slot = node(d);
-                }
-                for s in 0..n {
-                    for d in 0..n {
-                        if s == d {
-                            continue;
-                        }
-                        if node(s) == node(d) {
-                            let idx = links.len();
-                            links.push(Link::new(
-                                format!("nvl{s}>{d}"),
-                                cost.nvlink_gbps,
-                                SimDur::ZERO,
-                            ));
-                            dev_routes[s][d].push(idx);
+                for (s, d) in pairs(n) {
+                    if node(s) == node(d) {
+                        dev_routes[s][d].push(links.len());
+                        links.push(nvlink(s, d));
+                    } else {
+                        let (a, b) = if node(s) == 0 {
+                            (nic0, nic1)
                         } else {
-                            let (a, b) = if node(s) == 0 {
-                                (nic0, nic1)
-                            } else {
-                                (nic1, nic0)
-                            };
-                            dev_routes[s][d].push(a);
-                            dev_routes[s][d].push(b);
-                        }
+                            (nic1, nic0)
+                        };
+                        dev_routes[s][d].push(a);
+                        dev_routes[s][d].push(b);
                     }
                 }
             }
@@ -471,26 +442,18 @@ impl Topology {
                     }
                 }
                 let leaf_of = |d: usize| d / per_leaf;
-                for (d, slot) in node_of.iter_mut().enumerate() {
-                    *slot = leaf_of(d);
-                }
-                for s in 0..n {
-                    for d in 0..n {
-                        if s == d {
-                            continue;
-                        }
-                        let route = &mut dev_routes[s][d];
-                        route.push(nic_base + s);
-                        let (ls, ld) = (leaf_of(s), leaf_of(d));
-                        if ls != ld {
-                            // Deterministic ECMP hash, symmetric in (s, d)
-                            // so forward and return paths share a spine.
-                            let spine = (s + d) % spines;
-                            route.push(up_base + ls * spines + spine);
-                            route.push(down_base + spine * leaves + ld);
-                        }
-                        route.push(nic_base + d);
+                for (s, d) in pairs(n) {
+                    let route = &mut dev_routes[s][d];
+                    route.push(nic_base + s);
+                    let (ls, ld) = (leaf_of(s), leaf_of(d));
+                    if ls != ld {
+                        // Deterministic ECMP hash, symmetric in (s, d)
+                        // so forward and return paths share a spine.
+                        let spine = (s + d) % spines;
+                        route.push(up_base + ls * spines + spine);
+                        route.push(down_base + spine * leaves + ld);
                     }
+                    route.push(nic_base + d);
                 }
             }
             TopologyKind::Dragonfly {
@@ -532,38 +495,30 @@ impl Topology {
                 }
                 let router_of = |d: usize| d / gpus_per_router;
                 let group_of = |d: usize| router_of(d) / routers_per_group;
-                for (d, slot) in node_of.iter_mut().enumerate() {
-                    *slot = router_of(d);
-                }
-                for s in 0..n {
-                    for d in 0..n {
-                        if s == d {
-                            continue;
+                for (s, d) in pairs(n) {
+                    let route = &mut dev_routes[s][d];
+                    route.push(nic_base + s);
+                    let (rs, rd) = (router_of(s), router_of(d));
+                    let (gs, gd) = (group_of(s), group_of(d));
+                    let (lrs, lrd) = (rs % routers_per_group, rd % routers_per_group);
+                    if gs == gd {
+                        if rs != rd {
+                            route.push(local_link(gs, lrs, lrd));
                         }
-                        let route = &mut dev_routes[s][d];
-                        route.push(nic_base + s);
-                        let (rs, rd) = (router_of(s), router_of(d));
-                        let (gs, gd) = (group_of(s), group_of(d));
-                        let (lrs, lrd) = (rs % routers_per_group, rd % routers_per_group);
-                        if gs == gd {
-                            if rs != rd {
-                                route.push(local_link(gs, lrs, lrd));
-                            }
-                        } else {
-                            // Minimal routing: hop to the gateway router,
-                            // cross the single global link, hop to the
-                            // destination router.
-                            let gw = (gs + gd) % routers_per_group;
-                            if lrs != gw {
-                                route.push(local_link(gs, lrs, gw));
-                            }
-                            route.push(global[&(gs.min(gd), gs.max(gd))]);
-                            if lrd != gw {
-                                route.push(local_link(gd, gw, lrd));
-                            }
+                    } else {
+                        // Minimal routing: hop to the gateway router,
+                        // cross the single global link, hop to the
+                        // destination router.
+                        let gw = (gs + gd) % routers_per_group;
+                        if lrs != gw {
+                            route.push(local_link(gs, lrs, gw));
                         }
-                        route.push(nic_base + d);
+                        route.push(global[&(gs.min(gd), gs.max(gd))]);
+                        if lrd != gw {
+                            route.push(local_link(gd, gw, lrd));
+                        }
                     }
+                    route.push(nic_base + d);
                 }
             }
             TopologyKind::RailOptimized {
@@ -590,46 +545,32 @@ impl Topology {
                     }
                 }
                 let node = |d: usize| d / gpus_per_node;
-                for (d, slot) in node_of.iter_mut().enumerate() {
-                    *slot = node(d);
-                }
                 // Intra-node NVLink all-to-all (occupied devices only).
                 let mut nvl = HashMap::new();
-                for s in 0..n {
-                    for d in 0..n {
-                        if s != d && node(s) == node(d) {
-                            nvl.insert((s, d), links.len());
-                            links.push(Link::new(
-                                format!("nvl{s}>{d}"),
-                                cost.nvlink_gbps,
-                                SimDur::ZERO,
-                            ));
-                        }
+                for (s, d) in pairs(n) {
+                    if node(s) == node(d) {
+                        nvl.insert((s, d), links.len());
+                        links.push(nvlink(s, d));
                     }
                 }
-                for s in 0..n {
-                    for d in 0..n {
-                        if s == d {
-                            continue;
-                        }
-                        let route = &mut dev_routes[s][d];
-                        if node(s) == node(d) {
-                            route.push(nvl[&(s, d)]);
-                            continue;
-                        }
-                        // The sender rides its own rail; traffic lands on
-                        // the same rail of the destination node and pays
-                        // one NVLink hop if the target GPU sits off-rail.
-                        let rail = (s % gpus_per_node) % rails;
-                        route.push(rail_base + node(s) * rails + rail);
-                        route.push(rail_base + node(d) * rails + rail);
-                        if (d % gpus_per_node) % rails != rail {
-                            // Representative rail owner on the destination
-                            // node: the lowest-indexed GPU attached to it.
-                            let owner = node(d) * gpus_per_node + rail;
-                            if owner < n && owner != d {
-                                route.push(nvl[&(owner, d)]);
-                            }
+                for (s, d) in pairs(n) {
+                    let route = &mut dev_routes[s][d];
+                    if node(s) == node(d) {
+                        route.push(nvl[&(s, d)]);
+                        continue;
+                    }
+                    // The sender rides its own rail; traffic lands on
+                    // the same rail of the destination node and pays
+                    // one NVLink hop if the target GPU sits off-rail.
+                    let rail = (s % gpus_per_node) % rails;
+                    route.push(rail_base + node(s) * rails + rail);
+                    route.push(rail_base + node(d) * rails + rail);
+                    if (d % gpus_per_node) % rails != rail {
+                        // Representative rail owner on the destination
+                        // node: the lowest-indexed GPU attached to it.
+                        let owner = node(d) * gpus_per_node + rail;
+                        if owner < n && owner != d {
+                            route.push(nvl[&(owner, d)]);
                         }
                     }
                 }
@@ -643,7 +584,6 @@ impl Topology {
             dev_routes,
             host_routes,
             ring: Vec::new(),
-            node_of,
         };
         topo.ring = topo.derive_ring();
         Arc::new(topo)
@@ -722,25 +662,6 @@ impl Topology {
             .copied()
             .filter(|p| members.contains(p))
             .collect()
-    }
-
-    /// The physical node (server / leaf / router) device `dev` sits in.
-    /// Single-node presets put every device on node 0.
-    pub fn node_of(&self, dev: usize) -> usize {
-        self.node_of[dev]
-    }
-
-    /// Devices grouped by physical node, ascending node index. Every group
-    /// is a contiguous ascending device range (guaranteed by construction
-    /// for every preset).
-    pub fn node_groups(&self) -> Vec<Vec<usize>> {
-        let nodes = self.node_of.iter().copied().max().unwrap_or(0) + 1;
-        let mut groups = vec![Vec::new(); nodes];
-        for (d, &nd) in self.node_of.iter().enumerate() {
-            groups[nd].push(d);
-        }
-        groups.retain(|g| !g.is_empty());
-        groups
     }
 
     /// Unordered device pairs whose base route (in either direction)
@@ -1504,37 +1425,6 @@ mod tests {
             65,
             &cost,
         );
-    }
-
-    #[test]
-    fn node_groups_are_contiguous_and_match_the_fabric() {
-        for kind in TopologyKind::presets() {
-            let n = kind.capacity().unwrap_or(8);
-            let cost = CostModel::a100_hgx();
-            let topo = Topology::build(kind, n, &cost);
-            let groups = topo.node_groups();
-            // Groups partition 0..n into contiguous ascending ranges.
-            let flat: Vec<usize> = groups.iter().flatten().copied().collect();
-            assert_eq!(flat, (0..n).collect::<Vec<_>>(), "{}", kind.name());
-            for g in &groups {
-                assert!(g.windows(2).all(|w| w[1] == w[0] + 1), "{}", kind.name());
-            }
-            let expect = match kind {
-                TopologyKind::TwoNode => 2,
-                TopologyKind::FatTree { gpus, radix } => gpus / (radix / 2),
-                TopologyKind::Dragonfly {
-                    groups: g,
-                    routers_per_group,
-                    ..
-                } => g * routers_per_group,
-                TopologyKind::RailOptimized { nodes, .. } => nodes,
-                _ => 1,
-            };
-            assert_eq!(groups.len(), expect, "{}", kind.name());
-            for (d, g) in (0..n).map(|d| (d, topo.node_of(d))) {
-                assert!(groups[g].contains(&d));
-            }
-        }
     }
 
     #[test]
