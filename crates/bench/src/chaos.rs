@@ -282,16 +282,29 @@ pub fn run_degraded_schedule(
     topo: TopologyKind,
     plan: &FaultPlan,
 ) -> ChaosOutcome {
+    degraded_run(workload, topo, plan).0
+}
+
+/// The one degraded-mode run: [`run_degraded_schedule`]'s outcome and the
+/// run's virtual completion time (`None` when it errors).
+fn degraded_run(
+    workload: ChaosWorkload,
+    topo: TopologyKind,
+    plan: &FaultPlan,
+) -> (ChaosOutcome, Option<SimDur>) {
     match workload {
         ChaosWorkload::Jacobi => {
             let base = degraded_jacobi_config(topo);
             match stencil_lab::run_cpu_free_degraded(&FtConfig::new(base, plan.clone())) {
-                Ok(ex) => degraded_outcome(
-                    ex.quorum.clone(),
-                    ex.max_err == Some(0.0),
-                    format!("degraded max_err {:?} (quorum {:?})", ex.max_err, ex.quorum),
-                ),
-                Err(e) => classify_error(&e),
+                Ok(ex) => {
+                    let outcome = degraded_outcome(
+                        ex.quorum.clone(),
+                        ex.max_err == Some(0.0),
+                        format!("degraded max_err {:?} (quorum {:?})", ex.max_err, ex.quorum),
+                    );
+                    (outcome, Some(ex.total))
+                }
+                Err(e) => (classify_error(&e), None),
             }
         }
         ChaosWorkload::Cg => {
@@ -302,13 +315,14 @@ pub fn run_degraded_schedule(
             ) {
                 Ok(ex) => {
                     let err = ex.verify(&prob, plan);
-                    degraded_outcome(
+                    let outcome = degraded_outcome(
                         ex.quorum.clone(),
                         err == 0.0,
                         format!("degraded verify err {err:e} (quorum {:?})", ex.quorum),
-                    )
+                    );
+                    (outcome, Some(ex.total))
                 }
-                Err(e) => classify_error(&e),
+                Err(e) => (classify_error(&e), None),
             }
         }
     }
@@ -877,29 +891,6 @@ pub fn replay(document: &str) -> Result<(ChaosWorkload, TopologyKind, ChaosOutco
     Ok((workload, topo, outcome))
 }
 
-/// Virtual completion time of a degraded run, `None` when it errors.
-/// The shrink signature of the fabric fixtures compares this against the
-/// fault-free time: label alone would let ddmin collapse a *recoverable*
-/// kill all the way to the empty plan (every subset also completes
-/// identically); demanding a perturbed virtual time keeps the kill that
-/// actually forces the healed route.
-fn degraded_total(workload: ChaosWorkload, topo: TopologyKind, plan: &FaultPlan) -> Option<SimDur> {
-    match workload {
-        ChaosWorkload::Jacobi => stencil_lab::run_cpu_free_degraded(&FtConfig::new(
-            degraded_jacobi_config(topo),
-            plan.clone(),
-        ))
-        .ok()
-        .map(|ex| ex.total),
-        ChaosWorkload::Cg => cpufree_solvers::run_cpu_free_degraded(
-            &CgFtConfig::new(degraded_cg_problem(topo), plan.clone()),
-            ExecMode::Full,
-        )
-        .ok()
-        .map(|ex| ex.total),
-    }
-}
-
 /// One row of the degraded-mode table (`figures degraded`).
 #[derive(Debug, Clone)]
 pub struct DegradedRow {
@@ -965,18 +956,19 @@ pub fn degraded_rows() -> Vec<DegradedRow> {
 /// [`fabric_degraded_cases`] plan shrunk to a minimal fault set that
 /// still completes identically *with a perturbed virtual time* — proof
 /// the kill was live and the healed relay engaged — serialized as a
-/// degraded-mode reproducer document.
+/// degraded-mode reproducer document. The label alone would let ddmin
+/// collapse a *recoverable* kill all the way to the empty plan (every
+/// subset also completes identically); demanding a perturbed virtual time
+/// keeps the kill that actually forces the healed route.
 pub fn fabric_fixture_docs() -> Vec<(&'static str, String)> {
     let workload = ChaosWorkload::Jacobi;
     fabric_degraded_cases()
         .into_iter()
         .map(|(label, kind, plan)| {
-            let clean = degraded_total(workload, kind, &FaultPlan::new());
+            let clean = degraded_run(workload, kind, &FaultPlan::new()).1;
             let signature = |p: &FaultPlan| {
-                (
-                    run_degraded_schedule(workload, kind, p).label(),
-                    degraded_total(workload, kind, p) != clean,
-                )
+                let (outcome, total) = degraded_run(workload, kind, p);
+                (outcome.label(), total != clean)
             };
             let target = signature(&plan);
             assert!(

@@ -82,7 +82,6 @@ pub fn weak2d(base: usize, gpus: usize, iters: u64) -> StencilConfig {
         n_gpus: gpus,
         exec: ExecMode::TimingOnly,
         no_compute: false,
-        threads_per_block: 1024,
         cost: None,
         topology: None,
         jitter: None,
@@ -101,7 +100,6 @@ pub fn weak3d(nx: usize, ny: usize, base_z: usize, gpus: usize, iters: u64) -> S
         n_gpus: gpus,
         exec: ExecMode::TimingOnly,
         no_compute: false,
-        threads_per_block: 1024,
         cost: None,
         topology: None,
         jitter: None,
@@ -119,7 +117,6 @@ pub fn strong3d(nx: usize, ny: usize, nz: usize, gpus: usize, iters: u64) -> Ste
         n_gpus: gpus,
         exec: ExecMode::TimingOnly,
         no_compute: false,
-        threads_per_block: 1024,
         cost: None,
         topology: None,
         jitter: None,
@@ -478,7 +475,7 @@ pub fn ablation_put_granularity() -> Vec<(String, SimDur, SimDur)> {
         let world = ShmemWorld::init(&machine);
         let halo = world.malloc("plane", plane);
         let sig = world.signal(0);
-        let end = launch_cpu_free(&machine, "pingpong", 1024, move |pe| {
+        let end = launch_cpu_free(&machine, "pingpong", move |pe| {
             let world = world.clone();
             let halo = halo.clone();
             let sig = sig.clone();
@@ -743,7 +740,6 @@ pub fn fault_recovery_overhead() -> Vec<FaultRow> {
         n_gpus: 4,
         exec: ExecMode::Full,
         no_compute: false,
-        threads_per_block: 1024,
         cost: None,
         topology: None,
         jitter: None,

@@ -11,6 +11,11 @@
 use gpu_sim::{BlockGroup, DevId, KernelCtx, Machine};
 use sim_des::{Category, Cmp, Flag, SignalOp, SimError, SimTime};
 
+/// Threads per block of every persistent kernel: one 1024-thread block per
+/// SM (shared-memory bound, as in the paper). The mapped-put wave width
+/// and its cost prediction read it too.
+pub const BLOCK_THREADS: u32 = 1024;
+
 /// Launch a CPU-Free application: one persistent cooperative kernel per
 /// device, built by `groups_for_pe(pe)`; the host does nothing else.
 ///
@@ -18,7 +23,6 @@ use sim_des::{Category, Cmp, Flag, SignalOp, SimError, SimTime};
 pub fn launch_cpu_free<F>(
     machine: &Machine,
     name: &str,
-    threads_per_block: u32,
     groups_for_pe: F,
 ) -> Result<SimTime, SimError>
 where
@@ -31,7 +35,7 @@ where
         machine.spawn_host(format!("rank{pe}"), move |host| {
             let groups = gfp(pe);
             // The single kernel launch — the only CPU involvement.
-            let kernel = host.launch_cooperative(DevId(pe), &name, threads_per_block, groups);
+            let kernel = host.launch_cooperative(DevId(pe), &name, BLOCK_THREADS, groups);
             host.wait_cooperative(&kernel);
         });
     }
@@ -95,7 +99,6 @@ impl LocalRendezvous {
 pub fn launch_cpu_free_dual<FA, FB>(
     machine: &Machine,
     name: &str,
-    threads_per_block: u32,
     comm_for_pe: FA,
     comp_for_pe: FB,
 ) -> Result<SimTime, SimError>
@@ -114,13 +117,13 @@ where
             let comm = host.launch_cooperative(
                 DevId(pe),
                 format!("{name}.comm"),
-                threads_per_block,
+                BLOCK_THREADS,
                 fa(pe, rv),
             );
             let comp = host.launch_cooperative(
                 DevId(pe),
                 format!("{name}.comp"),
-                threads_per_block,
+                BLOCK_THREADS,
                 fb(pe, rv),
             );
             host.wait_cooperative(&comm);
@@ -141,7 +144,7 @@ mod tests {
     fn cpu_free_launch_runs_one_kernel_per_device() {
         let machine = Machine::new(4, CostModel::a100_hgx(), ExecMode::Full);
         let counter = machine.flag(0);
-        let end = launch_cpu_free(&machine, "app", 1024, move |_pe| {
+        let end = launch_cpu_free(&machine, "app", move |_pe| {
             vec![BlockGroup::new("solo", 1, move |k| {
                 k.busy(Category::Compute, "w", us(5.0));
                 k.agent_mut().signal(counter, SignalOp::Add, 1);
@@ -163,7 +166,7 @@ mod tests {
     fn persistent_kernel_iterates_with_grid_sync() {
         let machine = Machine::new(1, CostModel::a100_hgx(), ExecMode::Full);
         let probe = machine.flag(0);
-        launch_cpu_free(&machine, "loop", 1024, move |_pe| {
+        launch_cpu_free(&machine, "loop", move |_pe| {
             vec![
                 BlockGroup::new("g0", 1, move |k| {
                     for _ in 0..10 {
@@ -191,7 +194,6 @@ mod tests {
         let end = launch_cpu_free_dual(
             &machine,
             "dual",
-            1024,
             move |_pe, rv| {
                 vec![BlockGroup::new("comm", 1, move |k| {
                     for it in 1..=iters {
@@ -230,7 +232,7 @@ mod tests {
         let w = world.clone();
         let halo_in = halo.clone();
         let sig_in = sig.clone();
-        launch_cpu_free(&machine, "ring", 1024, move |pe| {
+        launch_cpu_free(&machine, "ring", move |pe| {
             let w = w.clone();
             let halo = halo_in.clone();
             let sig = sig_in.clone();

@@ -33,7 +33,7 @@ mod stats;
 mod watchdog;
 
 pub use alloc::TbAllocation;
-pub use launch::{launch_cpu_free, launch_cpu_free_dual, LocalRendezvous};
+pub use launch::{launch_cpu_free, launch_cpu_free_dual, LocalRendezvous, BLOCK_THREADS};
 pub use rollback::{
     run_blocking, Blocking, Driver, FtCtx, Halo, Interrupted, Quorum, Recoverable, Rollback,
     RollbackCounts, CHECKPOINT_EVERY, POLL, WATCHDOG_INTERVAL,

@@ -641,7 +641,7 @@ mod tests {
         let recover = world.signal(0);
         let out = Arc::new(Mutex::new(vec![Vec::new(); N]));
         let out_l = Arc::clone(&out);
-        let end = launch_cpu_free(&machine, "epochs", 1024, move |pe| {
+        let end = launch_cpu_free(&machine, "epochs", move |pe| {
             let (world, mut ws, recover) = (world.clone(), ws.clone(), recover.clone());
             let out = Arc::clone(&out_l);
             vec![BlockGroup::new("g", 1, move |k| {
@@ -700,7 +700,7 @@ mod tests {
         let (barrier_a, barrier_b) = (machine.barrier(N), machine.barrier(N));
         let out = Arc::new(Mutex::new(vec![(false, 0u64); N]));
         let out_l = Arc::clone(&out);
-        launch_cpu_free(&machine, "interrupt", 1024, move |pe| {
+        launch_cpu_free(&machine, "interrupt", move |pe| {
             let (world, mut ws, recover) = (world.clone(), ws.clone(), recover.clone());
             let out = Arc::clone(&out_l);
             vec![BlockGroup::new("g", 1, move |k| {

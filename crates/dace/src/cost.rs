@@ -61,6 +61,7 @@ use crate::expr::Bindings;
 use crate::ir::{LibNode, Sdfg};
 use crate::lower::{self, LowerError};
 use crate::schedule::{self, Step};
+use cpufree_core::BLOCK_THREADS;
 use gpu_sim::{CostModel, Topology, TopologyKind};
 use sim_des::{us, SimDur, SimTime};
 use std::cmp::Reverse;
@@ -832,7 +833,7 @@ fn walk(flat: &Flattener<'_>, topo: &Topology, cap: Option<i64>) -> Result<Walk,
                         }
                         PredOp::PutMapped { dst, count, .. } => {
                             let bytes = count * 8;
-                            let waves = count.div_ceil(1024).max(1);
+                            let waves = count.div_ceil(u64::from(BLOCK_THREADS)).max(1);
                             let wire = clocks.charge_dev(topo, pe, dst, bytes, st.clock, 1.0);
                             let dur = us(cost.shmem_p_us) * waves + wire;
                             record_route(

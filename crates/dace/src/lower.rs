@@ -20,7 +20,7 @@ use crate::mpi::{ChanKey, MpiSim};
 use crate::programs::{jacobi1d_point, jacobi2d_point};
 use crate::schedule::{self, Step};
 use crate::verify::{verify_sdfg, VerifyError};
-use cpufree_core::{launch_cpu_free, RunStats};
+use cpufree_core::{launch_cpu_free, RunStats, BLOCK_THREADS};
 use gpu_sim::{
     BlockGroup, Buf, CheckReport, CostModel, DevId, ExecMode, HostCtx, KernelCtx, Machine, Stream,
     TopologyKind,
@@ -597,7 +597,7 @@ pub(crate) fn persistent_legality(sdfg: &Sdfg) -> Result<(), LowerError> {
 fn launch_persistent(inst: &Arc<Instance>, name: &str) -> Result<SimTime, sim_des::SimError> {
     let sm = inst.machine.spec().sm_count as u64;
     let inst_l = Arc::clone(inst);
-    launch_cpu_free(&inst.machine.clone(), name, 1024, move |pe| {
+    launch_cpu_free(&inst.machine.clone(), name, move |pe| {
         let inst = Arc::clone(&inst_l);
         vec![BlockGroup::new("ctrl", sm, move |k| {
             let mut b = inst.bindings(pe);
@@ -855,8 +855,9 @@ fn exec_lib_persistent(
                 .sym()
                 .expect("validated symmetric storage");
             let srcbuf = inst.buf(&src.array, pe).clone();
+            let threads = u64::from(BLOCK_THREADS);
             sh.put_mapped(
-                k, sym, rd.offset, &srcbuf, rs.offset, rd.count, 1024, target,
+                k, sym, rd.offset, &srcbuf, rs.offset, rd.count, threads, target,
             );
         }
         LibNode::SignalWait { sig, val } => {

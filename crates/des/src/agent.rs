@@ -164,25 +164,12 @@ impl AgentCtx {
         value: u64,
         deadline: SimTime,
     ) -> Result<(), WaitTimedOut> {
-        self.wait_flag_deadline(flag, cmp, value, deadline, None)
-    }
-
-    /// The general deadline wait: both a deadline and an optional declared
-    /// sender identity (pre-interned — see [`AgentCtx::intern`]).
-    pub fn wait_flag_deadline(
-        &mut self,
-        flag: Flag,
-        cmp: Cmp,
-        value: u64,
-        deadline: SimTime,
-        expected_from: Option<Sym>,
-    ) -> Result<(), WaitTimedOut> {
         self.handoff(Request::WaitFlag {
             flag,
             cmp,
             value,
             deadline: Some(deadline),
-            expected_from,
+            expected_from: None,
         });
         if self.shared.central.lock().take_timed_out(self.id) {
             Err(WaitTimedOut { deadline })

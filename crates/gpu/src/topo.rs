@@ -926,12 +926,6 @@ impl Transport {
         us(self.cost.shmem_put_us) + self.dev_charge(src, dst, bytes, now, 1.0, 1.0)
     }
 
-    /// Block-cooperative contiguous put (`nvshmemx_putmem_block`).
-    pub fn shmem_put_block(&self, src: usize, dst: usize, bytes: u64, now: SimTime) -> SimDur {
-        us(self.cost.shmem_put_us)
-            + self.dev_charge(src, dst, bytes, now, self.cost.shmem_block_bw_scale, 1.0)
-    }
-
     /// Mapped single-element puts: `count` `nvshmem_<T>_p` calls issued by
     /// up to `threads` GPU threads in parallel.
     pub fn shmem_p_mapped(
@@ -1098,10 +1092,6 @@ mod tests {
             // one pair at the same instant would (correctly) queue.
             let t = transport(TopologyKind::NvlinkAllToAll, 8);
             assert_eq!(t.shmem_put(0, 5, bytes, now), c.shmem_put(bytes));
-            assert_eq!(
-                t.shmem_put_block(1, 2, bytes, now),
-                c.shmem_put_block(bytes)
-            );
             assert_eq!(t.p2p(DevId(3), DevId(4), bytes, now), c.p2p_copy(bytes));
             assert_eq!(t.host_copy(DevId(6), bytes, now), c.pcie_copy(bytes));
         }

@@ -179,10 +179,11 @@ impl CpuFreeCg {
             + 'static,
     {
         let run = Arc::clone(self);
-        launch_cpu_free(&self.machine, kernel, 1024, move |pe| {
+        let sm_count = self.machine.spec().sm_count as u64;
+        launch_cpu_free(&self.machine, kernel, move |pe| {
             let (run, drive) = (Arc::clone(&run), drive.clone());
             let mut ws = run.ws.clone();
-            vec![BlockGroup::new(group, 108, move |k| {
+            vec![BlockGroup::new(group, sm_count, move |k| {
                 let mut sh = ShmemCtx::new(&run.world, k);
                 let (st, nx) = (&run.states[pe], run.prob.nx);
                 let low = (pe > 0).then(|| Halo {

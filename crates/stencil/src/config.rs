@@ -23,8 +23,6 @@ pub struct StencilConfig {
     /// Zero out compute costs/work: the paper's "no compute" experiments
     /// (Fig 2.2a, Fig 6.2 middle) isolating communication + synchronization.
     pub no_compute: bool,
-    /// Threads per block for persistent launches.
-    pub threads_per_block: u32,
     /// Cost model override (`None` = A100 HGX defaults).
     pub cost: Option<CostModel>,
     /// Interconnect topology override (`None` = the cost model's own).
@@ -47,7 +45,6 @@ impl StencilConfig {
             n_gpus,
             exec: ExecMode::Full,
             no_compute: false,
-            threads_per_block: 1024,
             cost: None,
             topology: None,
             jitter: None,
@@ -71,7 +68,6 @@ impl StencilConfig {
             n_gpus,
             exec: ExecMode::Full,
             no_compute: false,
-            threads_per_block: 1024,
             cost: None,
             topology: None,
             jitter: None,

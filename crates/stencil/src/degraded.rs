@@ -88,28 +88,23 @@ pub fn run_cpu_free_degraded(cfg: &FtConfig) -> Result<DegradedExecuted, SimErro
     let dom_l = Arc::clone(&dom);
     let driver_l = driver.clone();
     let agreed_l = Arc::clone(&agreed);
-    let end = launch_cpu_free(
-        &dom.machine.clone(),
-        "cpufree_degraded",
-        cfg.base.threads_per_block,
-        move |pe| {
-            let dom = Arc::clone(&dom_l);
-            let mut driver = driver_l.clone();
-            let mut ws = ws.clone();
-            let agreed = Arc::clone(&agreed_l);
-            vec![BlockGroup::new("degraded", 1, move |k| {
-                let mut sh = ShmemCtx::new(&dom.world, k);
-                let mut w = JacobiPe::new(&dom, pe, "degraded.sweep");
-                // Survivors prove the healed collective: quorum allreduce
-                // of the local field sum, bitwise identical everywhere.
-                if run_blocking(&mut driver, k, &mut sh, pe, iters, &mut w) {
-                    let value = local_field_sum(&dom, pe);
-                    let sum = driver.allreduce(&mut sh, k, &mut ws, value, iters);
-                    agreed.lock()[pe] = sum.ok();
-                }
-            })]
-        },
-    )?;
+    let end = launch_cpu_free(&dom.machine.clone(), "cpufree_degraded", move |pe| {
+        let dom = Arc::clone(&dom_l);
+        let mut driver = driver_l.clone();
+        let mut ws = ws.clone();
+        let agreed = Arc::clone(&agreed_l);
+        vec![BlockGroup::new("degraded", 1, move |k| {
+            let mut sh = ShmemCtx::new(&dom.world, k);
+            let mut w = JacobiPe::new(&dom, pe, "degraded.sweep");
+            // Survivors prove the healed collective: quorum allreduce of
+            // the local field sum, bitwise identical everywhere.
+            if run_blocking(&mut driver, k, &mut sh, pe, iters, &mut w) {
+                let value = local_field_sum(&dom, pe);
+                let sum = driver.allreduce(&mut sh, k, &mut ws, value, iters);
+                agreed.lock()[pe] = sum.ok();
+            }
+        })]
+    })?;
 
     let total = end.since(SimTime::ZERO);
     let functional = cfg.base.exec == ExecMode::Full && !cfg.base.no_compute;

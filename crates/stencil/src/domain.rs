@@ -5,7 +5,7 @@
 use crate::config::{Slab, StencilConfig, Workload};
 use crate::geometry::{geometry_of, Geometry};
 use crate::grid;
-use cpufree_core::RunStats;
+use cpufree_core::{Halo, RunStats};
 use gpu_sim::{CostModel, ExecMode, KernelCtx, Machine};
 use nvshmem_sim::{ShmemWorld, SymArray, SymSignal};
 use sim_des::{Category, SimDur, SimTime};
@@ -108,16 +108,6 @@ impl Domain {
         self.geo.workload(self.layers(pe), self.cfg.no_compute)
     }
 
-    /// Element offset of the first owned layer.
-    pub fn first_layer_off(&self) -> usize {
-        self.layer_elems()
-    }
-
-    /// Element offset of the last owned layer on `pe`.
-    pub fn last_layer_off(&self, pe: usize) -> usize {
-        self.layers(pe) * self.layer_elems()
-    }
-
     /// Element offset of `pe`'s LOW halo layer (written by pe-1).
     pub fn low_halo_off(&self) -> usize {
         0
@@ -126,6 +116,28 @@ impl Domain {
     /// Element offset of `pe`'s HIGH halo layer (written by pe+1).
     pub fn high_halo_off(&self, pe: usize) -> usize {
         (self.layers(pe) + 1) * self.layer_elems()
+    }
+
+    /// `pe`'s boundary exchanges, low neighbor first: my first owned layer
+    /// lands in pe-1's high halo and raises its `sig_from_high`, my last
+    /// one in pe+1's low halo raising its `sig_from_low`.
+    pub fn halos(&self, pe: usize) -> impl Iterator<Item = Halo<'_>> {
+        let le = self.layer_elems();
+        let low = (pe > 0).then(|| Halo {
+            nb: pe - 1,
+            dst: self.high_halo_off(pe - 1),
+            src: le,
+            sig_there: &self.sig_from_high,
+            sig_here: &self.sig_from_low,
+        });
+        let high = (pe + 1 < self.cfg.n_gpus).then(|| Halo {
+            nb: pe + 1,
+            dst: self.low_halo_off(),
+            src: self.layers(pe) * le,
+            sig_there: &self.sig_from_low,
+            sig_here: &self.sig_from_high,
+        });
+        low.into_iter().chain(high)
     }
 
     /// The generation read at iteration `t` (1-based).

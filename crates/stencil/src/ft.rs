@@ -75,21 +75,16 @@ pub fn run_cpu_free_ft(cfg: &FtConfig) -> Result<FtExecuted, SimError> {
 
     let dom_l = Arc::clone(&dom);
     let rollback_l = rollback.clone();
-    let end = launch_cpu_free(
-        &dom.machine.clone(),
-        "cpufree_ft",
-        cfg.base.threads_per_block,
-        move |pe| {
-            let dom = Arc::clone(&dom_l);
-            let rollback = rollback_l.clone();
-            vec![BlockGroup::new("ft", 1, move |k| {
-                let mut sh = ShmemCtx::new(&dom.world, k);
-                let iterations = dom.cfg.iterations;
-                let mut w = JacobiPe::new(&dom, pe, "ft.sweep");
-                rollback.run_pe(k, &mut sh, pe, iterations, &mut w);
-            })]
-        },
-    )?;
+    let end = launch_cpu_free(&dom.machine.clone(), "cpufree_ft", move |pe| {
+        let dom = Arc::clone(&dom_l);
+        let rollback = rollback_l.clone();
+        vec![BlockGroup::new("ft", 1, move |k| {
+            let mut sh = ShmemCtx::new(&dom.world, k);
+            let iterations = dom.cfg.iterations;
+            let mut w = JacobiPe::new(&dom, pe, "ft.sweep");
+            rollback.run_pe(k, &mut sh, pe, iterations, &mut w);
+        })]
+    })?;
 
     let exec = Executed::collect(&dom, end);
     let c = rollback.counts();
@@ -115,25 +110,11 @@ pub(crate) struct JacobiPe<'a> {
 
 impl<'a> JacobiPe<'a> {
     pub(crate) fn new(dom: &'a Domain, pe: usize, sweep: &'static str) -> JacobiPe<'a> {
-        let low = (pe > 0).then(|| Halo {
-            nb: pe - 1,
-            dst: dom.high_halo_off(pe - 1),
-            src: dom.first_layer_off(),
-            sig_there: &dom.sig_from_high,
-            sig_here: &dom.sig_from_low,
-        });
-        let high = (pe + 1 < dom.cfg.n_gpus).then(|| Halo {
-            nb: pe + 1,
-            dst: dom.low_halo_off(),
-            src: dom.last_layer_off(pe),
-            sig_there: &dom.sig_from_low,
-            sig_here: &dom.sig_from_high,
-        });
         JacobiPe {
             dom,
             pe,
             sweep,
-            halos: low.into_iter().chain(high).collect(),
+            halos: dom.halos(pe).collect(),
             snap: None,
         }
     }

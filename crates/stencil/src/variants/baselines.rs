@@ -47,25 +47,8 @@ pub fn run_copy(cfg: &StencilConfig) -> Executed {
                 });
                 host.sync_stream(&comp);
                 let wg = d.write_gen(t);
-                if pe > 0 {
-                    host.memcpy_async(
-                        &comm,
-                        wg.local(pe - 1),
-                        d.high_halo_off(pe - 1),
-                        wg.local(pe),
-                        d.first_layer_off(),
-                        le,
-                    );
-                }
-                if pe + 1 < n {
-                    host.memcpy_async(
-                        &comm,
-                        wg.local(pe + 1),
-                        d.low_halo_off(),
-                        wg.local(pe),
-                        d.last_layer_off(pe),
-                        le,
-                    );
+                for h in d.halos(pe) {
+                    host.memcpy_async(&comm, wg.local(h.nb), h.dst, wg.local(pe), h.src, le);
                 }
                 host.sync_stream(&comm);
                 host.host_barrier(bar, n);
@@ -134,25 +117,8 @@ pub fn run_overlap(cfg: &StencilConfig) -> Executed {
                     );
                 });
                 let wg = d.write_gen(t);
-                if pe > 0 {
-                    host.memcpy_async(
-                        &comm,
-                        wg.local(pe - 1),
-                        d.high_halo_off(pe - 1),
-                        wg.local(pe),
-                        d.first_layer_off(),
-                        le,
-                    );
-                }
-                if pe + 1 < n {
-                    host.memcpy_async(
-                        &comm,
-                        wg.local(pe + 1),
-                        d.low_halo_off(),
-                        wg.local(pe),
-                        d.last_layer_off(pe),
-                        le,
-                    );
+                for h in d.halos(pe) {
+                    host.memcpy_async(&comm, wg.local(h.nb), h.dst, wg.local(pe), h.src, le);
                 }
                 host.sync_stream(&comm);
                 host.sync_stream(&comp);
@@ -201,25 +167,13 @@ pub fn run_p2p(cfg: &StencilConfig) -> Executed {
                         },
                     );
                     let wg = d2.write_gen(t);
-                    if pe > 0 {
-                        k.p2p_copy(
-                            wg.local(pe - 1),
-                            d2.high_halo_off(pe - 1),
-                            wg.local(pe),
-                            d2.first_layer_off(),
-                            le,
-                            "halo st -> low",
-                        );
-                    }
-                    if pe + 1 < n {
-                        k.p2p_copy(
-                            wg.local(pe + 1),
-                            d2.low_halo_off(),
-                            wg.local(pe),
-                            d2.last_layer_off(pe),
-                            le,
-                            "halo st -> high",
-                        );
+                    for h in d2.halos(pe) {
+                        let label = if h.nb < pe {
+                            "halo st -> low"
+                        } else {
+                            "halo st -> high"
+                        };
+                        k.p2p_copy(wg.local(h.nb), h.dst, wg.local(pe), h.src, le, label);
                     }
                     let geo = Arc::clone(&d2.geo);
                     let read = d2.read_gen(t).local(pe).clone();
@@ -274,32 +228,18 @@ pub fn run_nvshmem(cfg: &StencilConfig) -> Executed {
                         },
                     );
                     let wg = d2.write_gen(t);
-                    if pe > 0 {
+                    for h in d2.halos(pe) {
                         sh.putmem_signal_nbi(
                             k,
                             wg,
-                            d2.high_halo_off(pe - 1),
+                            h.dst,
                             wg.local(pe),
-                            d2.first_layer_off(),
+                            h.src,
                             le,
-                            &d2.sig_from_high,
+                            h.sig_there,
                             SignalOp::Set,
                             t,
-                            pe - 1,
-                        );
-                    }
-                    if pe + 1 < n {
-                        sh.putmem_signal_nbi(
-                            k,
-                            wg,
-                            d2.low_halo_off(),
-                            wg.local(pe),
-                            d2.last_layer_off(pe),
-                            le,
-                            &d2.sig_from_low,
-                            SignalOp::Set,
-                            t,
-                            pe + 1,
+                            h.nb,
                         );
                     }
                     let geo = Arc::clone(&d2.geo);
@@ -313,11 +253,8 @@ pub fn run_nvshmem(cfg: &StencilConfig) -> Executed {
                 host.launch(&comp, "neighbor_sync", move |k| {
                     let world = d2.world.clone();
                     let mut sh = ShmemCtx::new(&world, k);
-                    if pe > 0 {
-                        sh.signal_wait_until(k, &d2.sig_from_low, Cmp::Ge, t);
-                    }
-                    if pe + 1 < n {
-                        sh.signal_wait_until(k, &d2.sig_from_high, Cmp::Ge, t);
+                    for h in d2.halos(pe) {
+                        sh.signal_wait_until(k, h.sig_here, Cmp::Ge, t);
                     }
                 });
                 host.sync_stream(&comp);

@@ -7,7 +7,9 @@
 
 use crate::config::StencilConfig;
 use crate::domain::{compute_phase, Domain, Executed};
-use cpufree_core::{launch_cpu_free, launch_cpu_free_dual, LocalRendezvous, TbAllocation};
+use cpufree_core::{
+    launch_cpu_free, launch_cpu_free_dual, LocalRendezvous, TbAllocation, BLOCK_THREADS,
+};
 use gpu_sim::{BlockGroup, KernelCtx};
 use nvshmem_sim::ShmemCtx;
 use sim_des::{Cmp, SignalOp};
@@ -66,7 +68,7 @@ fn tuning(dom: &Domain, pe: usize, perks: bool, tb_total: u64) -> PersistentTuni
             penalty: 1.0,
         }
     } else {
-        let threads = tb_total * dom.cfg.threads_per_block as u64;
+        let threads = tb_total * u64::from(BLOCK_THREADS);
         let ppt = w.total_points() as f64 / threads as f64;
         PersistentTuning {
             read_scale: 1.0,
@@ -85,15 +87,13 @@ fn run_persistent(cfg: &StencilConfig, perks: bool) -> Executed {
 
 fn run_persistent_with(cfg: &StencilConfig, perks: bool, split: SplitPolicy) -> Executed {
     let dom = Arc::new(Domain::new(cfg));
-    let n = cfg.n_gpus;
     // One 1024-thread block per SM (shared-memory bound, as in the paper).
     let tb_total = dom.machine.spec().sm_count as u64;
     let dom_l = Arc::clone(&dom);
     let end = launch_cpu_free(
         &dom.machine.clone(),
         if perks { "cpufree_perks" } else { "cpufree" },
-        cfg.threads_per_block,
-        move |pe| build_groups(Arc::clone(&dom_l), pe, n, tb_total, perks, split),
+        move |pe| build_groups(Arc::clone(&dom_l), pe, tb_total, perks, split),
     )
     .expect("cpu-free run failed");
     Executed::collect(&dom, end)
@@ -103,7 +103,6 @@ fn run_persistent_with(cfg: &StencilConfig, perks: bool, split: SplitPolicy) -> 
 fn build_groups(
     dom: Arc<Domain>,
     pe: usize,
-    n: usize,
     tb_total: u64,
     perks: bool,
     split: SplitPolicy,
@@ -116,11 +115,11 @@ fn build_groups(
 
     let d_top = Arc::clone(&dom);
     let comm_low = BlockGroup::new("comm_low", alloc.boundary_tbs, move |k| {
-        comm_group_body(k, &d_top, pe, n, Side::Low, b_frac, tune, Epilogue::Single);
+        comm_group_body(k, &d_top, pe, Side::Low, b_frac, tune, Epilogue::Single);
     });
     let d_bot = Arc::clone(&dom);
     let comm_high = BlockGroup::new("comm_high", alloc.boundary_tbs, move |k| {
-        comm_group_body(k, &d_bot, pe, n, Side::High, b_frac, tune, Epilogue::Single);
+        comm_group_body(k, &d_bot, pe, Side::High, b_frac, tune, Epilogue::Single);
     });
     let d_in = Arc::clone(&dom);
     let inner = BlockGroup::new("inner", alloc.inner_tbs, move |k| {
@@ -159,7 +158,6 @@ fn comm_group_body(
     k: &mut KernelCtx<'_>,
     dom: &Domain,
     pe: usize,
-    n: usize,
     side: Side,
     fraction: f64,
     tune: PersistentTuning,
@@ -170,11 +168,7 @@ fn comm_group_body(
     let le = dom.layer_elems();
     let layers = dom.layers(pe);
     let w = dom.workload(pe);
-    let neighbor = match side {
-        Side::Low if pe > 0 => Some(pe - 1),
-        Side::High if pe + 1 < n => Some(pe + 1),
-        _ => None,
-    };
+    let halo = dom.halos(pe).find(|h| (h.nb < pe) == (side == Side::Low));
     let my_layer = match side {
         Side::Low => 1,
         Side::High => layers,
@@ -183,12 +177,8 @@ fn comm_group_body(
     for t in 1..=dom.cfg.iterations {
         // ① Wait until the halo for this iteration's READ generation has
         // been committed by the neighbor (its put of iteration t-1).
-        if neighbor.is_some() {
-            let sig = match side {
-                Side::Low => &dom.sig_from_low,
-                Side::High => &dom.sig_from_high,
-            };
-            sh.signal_wait_until(k, sig, Cmp::Ge, t - 1);
+        if let Some(h) = &halo {
+            sh.signal_wait_until(k, h.sig_here, Cmp::Ge, t - 1);
         }
         // Conformance: one group per PE reports the committed iteration so
         // the checker can bound neighbor skew (must never exceed 1).
@@ -221,28 +211,10 @@ fn comm_group_body(
             || geo.sweep(&read, &write, (my_layer, my_layer)),
         );
         // ③+④ Commit the new layer into the neighbor's halo and signal.
-        if let Some(nb) = neighbor {
+        if let Some(h) = &halo {
             let wg = dom.write_gen(t);
-            let (dst_off, sig) = match side {
-                Side::Low => (dom.high_halo_off(nb), &dom.sig_from_high),
-                Side::High => (dom.low_halo_off(), &dom.sig_from_low),
-            };
-            let src_off = match side {
-                Side::Low => dom.first_layer_off(),
-                Side::High => dom.last_layer_off(pe),
-            };
-            sh.putmem_signal_nbi(
-                k,
-                wg,
-                dst_off,
-                wg.local(pe),
-                src_off,
-                le,
-                sig,
-                SignalOp::Set,
-                t,
-                nb,
-            );
+            let (src, set) = (wg.local(pe), SignalOp::Set);
+            sh.putmem_signal_nbi(k, wg, h.dst, src, h.src, le, h.sig_there, set, t, h.nb);
         }
         // ⑤ Synchronize before the next time step.
         match epilogue {
@@ -308,14 +280,12 @@ fn inner_group_body(
 /// extra sync point between the local stream pair that the paper notes.
 pub fn run_cpu_free_dual(cfg: &StencilConfig) -> Executed {
     let dom = Arc::new(Domain::new(cfg));
-    let n = cfg.n_gpus;
     let tb_total = dom.machine.spec().sm_count as u64;
     let dom_a = Arc::clone(&dom);
     let dom_b = Arc::clone(&dom);
     let end = launch_cpu_free_dual(
         &dom.machine.clone(),
         "cpufree_dual",
-        cfg.threads_per_block,
         move |pe, rv| {
             let dom = Arc::clone(&dom_a);
             let w = dom.workload(pe);
@@ -330,7 +300,6 @@ pub fn run_cpu_free_dual(cfg: &StencilConfig) -> Executed {
                         k,
                         &d_low,
                         pe,
-                        n,
                         Side::Low,
                         b_frac,
                         tune,
@@ -342,7 +311,6 @@ pub fn run_cpu_free_dual(cfg: &StencilConfig) -> Executed {
                         k,
                         &d_high,
                         pe,
-                        n,
                         Side::High,
                         b_frac,
                         tune,

@@ -38,7 +38,7 @@ fn main() {
     let world_l = world.clone();
     let partials_l = partials.clone();
     let vectors_l: Arc<Vec<Buf>> = Arc::new(vectors.clone());
-    let end = launch_cpu_free(&machine, "power_step", 1024, move |pe| {
+    let end = launch_cpu_free(&machine, "power_step", move |pe| {
         let world = world_l.clone();
         let partials = partials_l.clone();
         let sig = sig.clone();

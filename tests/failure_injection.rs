@@ -17,7 +17,7 @@ fn missing_put_is_diagnosed() {
     let (machine, world) = two_pe_machine();
     let sig = world.signal(0);
     let w = world.clone();
-    let result = launch_cpu_free(&machine, "missing_put", 1024, move |pe| {
+    let result = launch_cpu_free(&machine, "missing_put", move |pe| {
         let w = w.clone();
         let sig = sig.clone();
         vec![BlockGroup::new("comm", 1, move |k| {
@@ -48,7 +48,7 @@ fn off_by_one_semaphore_deadlocks() {
     let (machine, world) = two_pe_machine();
     let sig = world.signal(0);
     let w = world.clone();
-    let result = launch_cpu_free(&machine, "off_by_one", 1024, move |pe| {
+    let result = launch_cpu_free(&machine, "off_by_one", move |pe| {
         let w = w.clone();
         let sig = sig.clone();
         vec![BlockGroup::new("comm", 1, move |k| {
@@ -69,7 +69,7 @@ fn off_by_one_semaphore_deadlocks() {
 #[test]
 fn mismatched_grid_sync_counts_deadlock() {
     let machine = Machine::new(1, CostModel::a100_hgx(), ExecMode::Full);
-    let result = launch_cpu_free(&machine, "bad_sync", 1024, move |_pe| {
+    let result = launch_cpu_free(&machine, "bad_sync", move |_pe| {
         vec![
             BlockGroup::new("a", 1, |k| {
                 for _ in 0..3 {
@@ -93,7 +93,7 @@ fn remote_overflow_is_loud() {
     let (machine, world) = two_pe_machine();
     let arr = world.malloc("small", 4);
     let w = world.clone();
-    let result = launch_cpu_free(&machine, "overflow", 1024, move |pe| {
+    let result = launch_cpu_free(&machine, "overflow", move |pe| {
         let w = w.clone();
         let arr = arr.clone();
         vec![BlockGroup::new("comm", 1, move |k| {
@@ -140,7 +140,7 @@ fn cyclic_wait_diagnosed_with_both_agents() {
     let (machine, world) = two_pe_machine();
     let sig = world.signal(0);
     let w = world.clone();
-    let result = launch_cpu_free(&machine, "cycle", 1024, move |pe| {
+    let result = launch_cpu_free(&machine, "cycle", move |pe| {
         let w = w.clone();
         let sig = sig.clone();
         vec![BlockGroup::new("comm", 1, move |k| {
@@ -173,7 +173,7 @@ fn cyclic_wait_diagnosed_with_both_agents() {
 #[test]
 fn panic_attribution_names_the_agent() {
     let machine = Machine::new(4, CostModel::a100_hgx(), ExecMode::Full);
-    let result = launch_cpu_free(&machine, "blame", 1024, move |pe| {
+    let result = launch_cpu_free(&machine, "blame", move |pe| {
         vec![BlockGroup::new("worker", 1, move |_k| {
             assert!(pe != 2, "injected failure on pe 2");
         })]

@@ -17,7 +17,6 @@ fn jacobi_base() -> StencilConfig {
         n_gpus: 4,
         exec: ExecMode::Full,
         no_compute: false,
-        threads_per_block: 1024,
         cost: None,
         topology: None,
         jitter: None,
@@ -206,7 +205,7 @@ fn watchdog_converts_silent_hang_into_timeout() {
         },
     );
     let w = world.clone();
-    let result = launch_cpu_free(&machine, "hang", 1024, move |_pe| {
+    let result = launch_cpu_free(&machine, "hang", move |_pe| {
         let w = w.clone();
         let never = never.clone();
         vec![BlockGroup::new("spin", 1, move |k| {

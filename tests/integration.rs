@@ -46,7 +46,6 @@ fn cpu_free_scales_flat_baselines_degrade() {
             n_gpus: g,
             exec: ExecMode::TimingOnly,
             no_compute: false,
-            threads_per_block: 1024,
             cost: None,
             topology: None,
             jitter: None,
@@ -136,7 +135,7 @@ fn broken_protocol_is_diagnosed() {
     let world = ShmemWorld::init(&machine);
     let sig = world.signal(0);
     let w = world.clone();
-    let result = launch_cpu_free(&machine, "broken", 1024, move |pe| {
+    let result = launch_cpu_free(&machine, "broken", move |pe| {
         let w = w.clone();
         let sig = sig.clone();
         vec![BlockGroup::new("g", 1, move |k| {
@@ -164,7 +163,7 @@ fn broken_protocol_is_diagnosed() {
 #[test]
 fn oversubscribed_cooperative_launch_fails_loud() {
     let machine = Machine::new(1, CostModel::a100_hgx(), ExecMode::Full);
-    let result = launch_cpu_free(&machine, "too_big", 1024, move |_pe| {
+    let result = launch_cpu_free(&machine, "too_big", move |_pe| {
         vec![BlockGroup::new("huge", 10_000, |_k| {})]
     });
     assert!(matches!(result, Err(sim_des::SimError::AgentPanic { .. })));
@@ -182,7 +181,6 @@ fn paper_scale_domains_run_in_timing_mode() {
         n_gpus: 8,
         exec: ExecMode::TimingOnly,
         no_compute: false,
-        threads_per_block: 1024,
         cost: None,
         topology: None,
         jitter: None,

@@ -207,7 +207,6 @@ fn cpu_free_exact_for_random_configs() {
             n_gpus: gpus,
             exec: ExecMode::Full,
             no_compute: false,
-            threads_per_block: 1024,
             cost: None,
             topology: None,
             jitter: None,
@@ -236,7 +235,6 @@ fn nvshmem_baseline_exact_for_random_configs() {
             n_gpus: gpus,
             exec: ExecMode::Full,
             no_compute: false,
-            threads_per_block: 1024,
             cost: None,
             topology: None,
             jitter: None,
@@ -264,7 +262,7 @@ fn allreduce_matches_reference() {
         let results = Arc::new(Mutex::new(vec![0.0f64; n]));
         let vals = values.clone();
         let res_l = Arc::clone(&results);
-        launch_cpu_free(&machine, "ar", 1024, move |pe| {
+        launch_cpu_free(&machine, "ar", move |pe| {
             let world = world.clone();
             let mut ws = ws.clone();
             let v = vals[pe];
